@@ -470,10 +470,10 @@ mod tests {
         let mut pos_mean = 0.0;
         let mut neg_mean = 0.0;
         let (mut pos_n, mut neg_n) = (0.0, 0.0);
-        for row in 0..ds.train.num_rows() {
+        for (row, &label) in labels.iter().enumerate() {
             let user = format!("{:?}", ds.train.value(row, "user_id").unwrap());
             let c = counts.get(&user).copied().unwrap_or(0.0);
-            if labels[row] > 0.5 {
+            if label > 0.5 {
                 pos_mean += c;
                 pos_n += 1.0;
             } else {

@@ -198,6 +198,6 @@ mod tests {
     fn month_lags_are_non_positive() {
         let ds = generate(&GenConfig::tiny());
         let lags = ds.relevant.column("month_lag").unwrap().numeric_values();
-        assert!(lags.iter().all(|&l| l <= 0.0 && l >= -12.0));
+        assert!(lags.iter().all(|l| (-12.0..=0.0).contains(l)));
     }
 }

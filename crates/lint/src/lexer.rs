@@ -299,7 +299,7 @@ fn scan_prefixed_literal(src: &str, start: usize) -> (Option<String>, usize) {
         }
         let body_start = i + 1;
         let closer: Vec<u8> = std::iter::once(b'"')
-            .chain(std::iter::repeat(b'#').take(hashes))
+            .chain(std::iter::repeat_n(b'#', hashes))
             .collect();
         let mut j = body_start;
         while j < bytes.len() {

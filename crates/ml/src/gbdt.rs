@@ -11,7 +11,7 @@ use rand::SeedableRng;
 use crate::dataset::{Dataset, Matrix, Task};
 use crate::metrics::sigmoid;
 use crate::model::Model;
-use crate::tree::{DecisionTree, SplitCriterion, TreeConfig};
+use crate::tree::{DecisionTree, SortedRuns, SplitCriterion, TreeConfig};
 
 /// Boosting hyperparameters.
 #[derive(Debug, Clone)]
@@ -117,6 +117,8 @@ impl GradientBoosting {
         };
 
         let mut raw = vec![booster.base_score; n];
+        // Every round grows on the same matrix, so its columns are sorted once.
+        let runs = SortedRuns::new(x);
         for round in 0..self.cfg.n_rounds {
             let mut grad = vec![0.0; n];
             let mut hess = vec![0.0; n];
@@ -132,7 +134,7 @@ impl GradientBoosting {
             }
             let mut rng = StdRng::seed_from_u64(seed.wrapping_add(round as u64));
             let mut tree = DecisionTree::new(SplitCriterion::Variance, self.cfg.tree.clone());
-            tree.fit_grad_hess(x, &grad, &hess, &mut rng);
+            tree.fit_grad_hess_sorted(x, &runs, &grad, &hess, &mut rng);
             let update = tree.predict(x);
             for i in 0..n {
                 raw[i] += self.cfg.learning_rate * update[i];

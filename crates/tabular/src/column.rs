@@ -562,7 +562,7 @@ mod tests {
     #[test]
     fn take_with_dict_preserves_codes_and_dictionary() {
         let mut c = CatColumn::new();
-        for v in ["a", "b", "c", "b", None.unwrap_or("d")] {
+        for v in ["a", "b", "c", "b", "d"] {
             c.push(Some(v));
         }
         // Keep only rows of "c" and "b": plain take would renumber, take_with_dict must not.

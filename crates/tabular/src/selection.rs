@@ -307,7 +307,8 @@ mod tests {
     /// across full words, partial tails, and mixed densities.
     #[test]
     fn for_each_set_full_word_fast_path_matches_sparse_path() {
-        let shapes: Vec<(usize, Box<dyn Fn(usize) -> bool>)> = vec![
+        type Shape = (usize, Box<dyn Fn(usize) -> bool>);
+        let shapes: Vec<Shape> = vec![
             (64, Box::new(|_| true)),                      // exactly one saturated word
             (130, Box::new(|_| true)),                     // saturated words + ragged tail
             (200, Box::new(|i| i < 64 || i % 7 == 0)),     // saturated then sparse
