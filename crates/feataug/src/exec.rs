@@ -32,7 +32,7 @@
 //!     `ENTROPY`/`COUNT_DISTINCT` then read the runs in place (trivial
 //!     predicate) or merge the selection out of them, instead of paying a
 //!     copy + sort per candidate;
-//! * cheap **per-worker scratch** ([`EvalScratch`]) — the selection bitmasks
+//! * cheap **per-worker scratch** (`EvalScratch`) — the selection bitmasks
 //!   ([`feataug_tabular::selection`]) and aggregation buffers one evaluation
 //!   mutates. Scratch lives in a pool; each worker of a batch checks one out
 //!   for its whole run, so parallel evaluations never contend on it.
@@ -51,7 +51,7 @@
 //!
 //! ## Copy-on-write epochs: live ingestion without blocking readers
 //!
-//! The compiled state above lives inside an [`EngineCore`] — one immutable
+//! The compiled state above lives inside an `EngineCore` — one immutable
 //! **epoch snapshot** of the relevant table plus every artifact compiled over
 //! it — held by an [`EpochCell`]. Every read entry point (evaluate, batch,
 //! transform, lookup, serve) **pins one core** with a single `Arc` load and
@@ -325,10 +325,10 @@ pub enum EngineError {
         /// The panic payload, rendered.
         message: String,
     },
-    /// The request's [`CancelToken`](feataug_tabular::CancelToken) tripped —
-    /// a deadline fired or the caller cancelled — and the engine abandoned
-    /// the work mid-kernel. Distinct from a failure: the serving tier maps
-    /// it onto its graceful-degradation path (all-NULL features).
+    /// The request's [`feataug_tabular::CancelToken`] tripped — a deadline
+    /// fired or the caller cancelled — and the engine abandoned the work
+    /// mid-kernel. Distinct from a failure: the serving tier maps it onto
+    /// its graceful-degradation path (all-NULL features).
     Cancelled,
 }
 
@@ -1168,7 +1168,7 @@ impl<'a> QueryEngine<'a> {
 
     /// [`QueryEngine::evaluate`] under a [`CancelToken`]: the kernel and
     /// gather loops poll the token at their checkpoints (every
-    /// [`CANCEL_GROUP_STRIDE`] groups and at phase boundaries) and abandon
+    /// `CANCEL_GROUP_STRIDE` groups and at phase boundaries) and abandon
     /// the evaluation with [`EngineError::Cancelled`] the moment it trips —
     /// mid-kernel, not at the next batch boundary. Cancelled evaluations are
     /// never cached.
@@ -1362,19 +1362,12 @@ impl<'a> QueryEngine<'a> {
     /// is the transform/serve workhorse: the aggregation runs once per query
     /// per engine, and every later transform (over any table) or point lookup
     /// is a cache read that moves no counter.
+    ///
+    /// A memo hit costs one probe and never polls `cancel`; a miss runs the
+    /// aggregation with the token threaded through the kernel checkpoints,
+    /// and a preempted build is not memoized (the next request
+    /// re-evaluates).
     pub(crate) fn group_feature(
-        &self,
-        core: &EngineCore<'a>,
-        query: &PredicateQuery,
-    ) -> EngineResult<SharedGroupFeature> {
-        self.group_feature_cancel(core, query, None)
-    }
-
-    /// [`QueryEngine::group_feature`] under an optional [`CancelToken`]: a
-    /// memo hit costs one probe and never polls; a miss runs the aggregation
-    /// with the token threaded through the kernel checkpoints, and a
-    /// preempted build is not memoized (the next request re-evaluates).
-    pub(crate) fn group_feature_cancel(
         &self,
         core: &EngineCore<'a>,
         query: &PredicateQuery,
@@ -1462,7 +1455,7 @@ impl<'a> QueryEngine<'a> {
         queries: &[PredicateQuery],
         table: &Table,
     ) -> EngineResult<Vec<Vec<Option<f64>>>> {
-        self.transform_threads(queries, table, workers_for_pool(queries.len()))
+        self.transform_with(queries, table, workers_for_pool(queries.len()), None)
     }
 
     /// [`QueryEngine::transform`] with an explicit worker count (clamped to
@@ -1479,7 +1472,7 @@ impl<'a> QueryEngine<'a> {
         table: &Table,
         workers: usize,
     ) -> EngineResult<Vec<Vec<Option<f64>>>> {
-        self.transform_threads_cancel(queries, table, workers, None)
+        self.transform_with(queries, table, workers, None)
     }
 
     /// [`QueryEngine::transform`] under a [`CancelToken`]: every query's
@@ -1492,7 +1485,7 @@ impl<'a> QueryEngine<'a> {
         table: &Table,
         cancel: &CancelToken,
     ) -> EngineResult<Vec<Vec<Option<f64>>>> {
-        self.transform_threads_cancel(
+        self.transform_with(
             queries,
             table,
             workers_for_pool(queries.len()),
@@ -1500,7 +1493,10 @@ impl<'a> QueryEngine<'a> {
         )
     }
 
-    fn transform_threads_cancel(
+    /// The one transform path behind [`QueryEngine::transform`],
+    /// [`QueryEngine::transform_threads`] and
+    /// [`QueryEngine::transform_cancel`].
+    pub(crate) fn transform_with(
         &self,
         queries: &[PredicateQuery],
         table: &Table,
@@ -1531,7 +1527,7 @@ impl<'a> QueryEngine<'a> {
             |()| (),
             |_, query| -> EngineResult<Vec<Option<f64>>> {
                 crate::fail_point!("exec.gather");
-                let (_, feats) = self.group_feature_cancel(&core, query, cancel)?;
+                let (_, feats) = self.group_feature(&core, query, cancel)?;
                 let map = &maps[query.group_keys.as_slice()];
                 cancel_checkpoint(cancel)?;
                 Ok(map
@@ -1556,7 +1552,7 @@ impl<'a> QueryEngine<'a> {
         query: &PredicateQuery,
         key_values: &[Value],
     ) -> EngineResult<Option<f64>> {
-        self.lookup_pinned(&self.core(), query, key_values)
+        self.lookup_pinned(&self.core(), query, key_values, None)
     }
 
     /// [`QueryEngine::lookup`] under a [`CancelToken`]: the first lookup of a
@@ -1569,22 +1565,14 @@ impl<'a> QueryEngine<'a> {
         key_values: &[Value],
         cancel: &CancelToken,
     ) -> EngineResult<Option<f64>> {
-        self.lookup_pinned_cancel(&self.core(), query, key_values, Some(cancel))
+        self.lookup_pinned(&self.core(), query, key_values, Some(cancel))
     }
 
-    /// [`QueryEngine::lookup`] against an explicitly pinned epoch — the form
-    /// the serving layer and [`crate::pipeline::AugModel::serve`] use so a
-    /// multi-query request observes one consistent snapshot.
+    /// [`QueryEngine::lookup`] against an explicitly pinned epoch, under an
+    /// optional token — the form the shard router and
+    /// [`crate::pipeline::AugModel::serve`] use so a multi-query request
+    /// observes one consistent snapshot.
     pub(crate) fn lookup_pinned(
-        &self,
-        core: &EngineCore<'a>,
-        query: &PredicateQuery,
-        key_values: &[Value],
-    ) -> EngineResult<Option<f64>> {
-        self.lookup_pinned_cancel(core, query, key_values, None)
-    }
-
-    pub(crate) fn lookup_pinned_cancel(
         &self,
         core: &EngineCore<'a>,
         query: &PredicateQuery,
@@ -1599,7 +1587,7 @@ impl<'a> QueryEngine<'a> {
             ))
             .into());
         }
-        let (gi, feats) = self.group_feature_cancel(core, query, cancel)?;
+        let (gi, feats) = self.group_feature(core, query, cancel)?;
         let mut key = Vec::with_capacity(key_values.len());
         for (column, value) in query.group_keys.iter().zip(key_values) {
             match core.serve_atom(column, value)? {

@@ -24,8 +24,10 @@
 //! |                     | gather loops, serving probes) — but **only** when |
 //! |                     | the work runs under a `CancelToken`; plain        |
 //! |                     | traffic never evaluates it                        |
-//! | `serving.lookup`    | [`crate::serving::ServingHandle::lookup`]         |
-//! | `shard.route`       | the shard router's per-request owning-shard probe |
+//! | `serving.lookup`    | [`crate::serving::ServingHandle::lookup`]'s probe |
+//! |                     | loop                                              |
+//! | `shard.route`       | routed lookups of a handle with several shards,   |
+//! |                     | the shard router's per-request owning-shard probe |
 //! |                     | and per-shard transform fan-out (panic-contained) |
 //! | `shard.append`      | start of a router-level sharded append, before    |
 //! |                     | any shard's sub-batch dispatches                  |

@@ -70,12 +70,13 @@
 //!   form of `serve`: every planned query resolved to an interned feature slot, every key
 //!   subset to a pre-built key→group probe, so the warm lookup path is hash probes plus a
 //!   slice copy with **zero heap allocation** (and `lookup_batch` fans across the worker
-//!   pool);
-//! * [`pipeline::FeatAug::fit_owned`] / [`pipeline::AugModel::compile_shared`] /
+//!   pool). [`serving::shard::ShardRouter::prepare`] builds the same handle over every
+//!   shard of a key-sharded router;
+//! * [`pipeline::FeatAug::fit`] / [`pipeline::AugModel::compile_shared`] /
 //!   [`pipeline::AugModel::into_owned`] produce an [`pipeline::OwnedAugModel`]
 //!   (`Arc`-backed tables, `Send + Sync + 'static`) that can live in a long-running
-//!   serving process — no caller-held tables, no `sub_tasks` vector for
-//!   [`multi::fit_multi_owned`];
+//!   serving process with no caller-held tables; [`multi::fit_multi`] does the same per
+//!   relevant source;
 //! * [`query::AugPlan`] is the portable artifact in between: plain-data queries, renderable to
 //!   SQL ([`query::AugPlan::to_sql`]) and round-trippable through a hand-rolled text format
 //!   ([`query::AugPlan::to_plan_text`] / [`query::AugPlan::from_plan_text`]), recompiled into
@@ -188,14 +189,15 @@
 //! // task's key columns into N independent shard engines behind one router.
 //! // Routed lookups are bit-identical to the unsharded path; appends split
 //! // by the same hash, each shard publishing its own epochs under a single
-//! // router generation. The tier accepts the sharded handle unchanged, and
+//! // router generation. `router.prepare` builds the same `ServingHandle` as
+//! // `model.prepare`, one entry per shard, so the tier serves it as is, and
 //! // per-request deadlines preempt a slow lookup *mid-kernel* through
 //! // cancellation checkpoints (surfacing as the same all-NULL degradation
 //! // as a deadline observed at a batch boundary).
-//! use feataug::{ShardRouter, ShardedServingHandle};
+//! use feataug::ShardRouter;
 //! let plan = model.plan().clone();
 //! let router = ShardRouter::build_for_plan(task.train.clone(), &task.relevant, &plan, 4)?;
-//! let sharded = ShardedServingHandle::prepare(&router, &plan)?;
+//! let sharded = router.prepare(&plan)?;
 //! let shard_tier = feataug::ServingTier::new(sharded, feataug::TierConfig::default());
 //! let row = shard_tier.lookup_deadline(
 //!     &[Value::Str("alice".into())],
@@ -261,8 +263,8 @@ pub use query::{
     PredicateQuery, QueryCodec,
 };
 pub use schema::{fit_schema, JoinPath, SchemaAugModel, SchemaError, SchemaGraph, SchemaTask};
-pub use serving::shard::{ShardEpoch, ShardRouter, ShardedServingHandle};
-pub use serving::tier::{ServingModel, ServingTier, TierConfig, TierError, TierStats};
+pub use serving::shard::{ShardEpoch, ShardRouter};
+pub use serving::tier::{ServingTier, TierConfig, TierError, TierStats};
 pub use serving::ServingHandle;
 pub use template::QueryTemplate;
 

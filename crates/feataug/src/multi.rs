@@ -161,21 +161,6 @@ pub fn fit_multi(
 /// (`Arc`-backed, `Send + Sync + 'static`).
 pub type OwnedMultiAugModel = MultiAugModel<'static>;
 
-/// [`fit_multi`] driven straight off the [`MultiAugTask`]: builds each
-/// source's sub-task on the fly (two `Arc` bumps each — no table is copied
-/// or cloned anywhere on this path) and fits it. The returned
-/// [`OwnedMultiAugModel`] stands alone and can serve from a long-running
-/// process.
-pub fn fit_multi_owned(
-    cfg: &FeatAugConfig,
-    task: &MultiAugTask,
-) -> Result<OwnedMultiAugModel, AugTaskError> {
-    let models = (0..task.sources.len())
-        .map(|i| FeatAug::new(cfg.clone()).fit(&task.sub_task(i)))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(MultiAugModel { models })
-}
-
 impl<'a> MultiAugModel<'a> {
     /// Assemble a multi-source serving model from per-source models (e.g.
     /// one [`AugModel::compile`] / [`AugModel::compile_shared`] per shipped
@@ -221,13 +206,7 @@ impl<'a> MultiAugModel<'a> {
     /// unlikely; a colliding (or pre-existing) column is skipped, exactly
     /// like [`augment_multi`]'s union.
     pub fn transform(&self, table: &Table) -> EngineResult<Table> {
-        let mut augmented = table.clone();
-        for model in &self.models {
-            for (name, values) in model.transform_features(table)? {
-                let _ = augmented.add_column(name, Column::from_opt_f64s(&values));
-            }
-        }
-        Ok(augmented)
+        transform_union(&self.models, table, None)
     }
 
     /// [`MultiAugModel::transform`] under a
@@ -241,14 +220,27 @@ impl<'a> MultiAugModel<'a> {
         table: &Table,
         cancel: &feataug_tabular::CancelToken,
     ) -> EngineResult<Table> {
-        let mut augmented = table.clone();
-        for model in &self.models {
-            for (name, values) in model.transform_features_cancel(table, cancel)? {
-                let _ = augmented.add_column(name, Column::from_opt_f64s(&values));
-            }
-        }
-        Ok(augmented)
+        transform_union(&self.models, table, Some(cancel))
     }
+}
+
+/// Attach the union of `models`' planned features to a copy of `table`,
+/// model by model; a colliding (or pre-existing) column keeps its first
+/// copy. The one union loop behind [`MultiAugModel::transform`],
+/// [`MultiAugModel::transform_cancel`] and
+/// [`crate::schema::SchemaAugModel::transform`].
+pub(crate) fn transform_union(
+    models: &[AugModel<'_>],
+    table: &Table,
+    cancel: Option<&feataug_tabular::CancelToken>,
+) -> EngineResult<Table> {
+    let mut augmented = table.clone();
+    for model in models {
+        for (name, values) in model.transform_features_with(table, cancel)? {
+            let _ = augmented.add_column(name, Column::from_opt_f64s(&values));
+        }
+    }
+    Ok(augmented)
 }
 
 /// The union of per-source pipeline runs.

@@ -43,7 +43,7 @@ use feataug_ml::ModelKind;
 use feataug_tabular::{AggFunc, Column, Table, Value};
 
 use crate::evaluation::FeatureEvaluator;
-use crate::exec::{EngineResult, EngineStats, QueryEngine, TableHandle};
+use crate::exec::{workers_for_pool, EngineResult, EngineStats, QueryEngine, TableHandle};
 use crate::generation::{GeneratedQuery, QueryGenerator, SqlGenConfig};
 use crate::problem::{AugTask, AugTaskError};
 use crate::proxy::LowCostProxy;
@@ -370,7 +370,7 @@ impl<'a> AugModel<'a> {
         &self,
         table: &Table,
     ) -> EngineResult<Vec<(String, Vec<Option<f64>>)>> {
-        self.transform_features_cancel_opt(table, None)
+        self.transform_features_with(table, None)
     }
 
     /// [`AugModel::transform_features`] under a
@@ -383,20 +383,22 @@ impl<'a> AugModel<'a> {
         table: &Table,
         cancel: &feataug_tabular::CancelToken,
     ) -> EngineResult<Vec<(String, Vec<Option<f64>>)>> {
-        self.transform_features_cancel_opt(table, Some(cancel))
+        self.transform_features_with(table, Some(cancel))
     }
 
-    fn transform_features_cancel_opt(
+    /// The one feature-transform path behind
+    /// [`AugModel::transform_features`] and
+    /// [`AugModel::transform_features_cancel`].
+    pub(crate) fn transform_features_with(
         &self,
         table: &Table,
         cancel: Option<&feataug_tabular::CancelToken>,
     ) -> EngineResult<Vec<(String, Vec<Option<f64>>)>> {
         let queries: Vec<PredicateQuery> =
             self.plan.queries.iter().map(|p| p.query.clone()).collect();
-        let features = match cancel {
-            Some(token) => self.engine.transform_cancel(&queries, table, token)?,
-            None => self.engine.transform(&queries, table)?,
-        };
+        let features =
+            self.engine
+                .transform_with(&queries, table, workers_for_pool(queries.len()), cancel)?;
         Ok(queries
             .iter()
             .zip(features)
@@ -478,7 +480,7 @@ impl<'a> AugModel<'a> {
                     subset.push(key[position].clone());
                 }
                 self.engine
-                    .lookup_pinned(&core, &planned.query, &subset)
+                    .lookup_pinned(&core, &planned.query, &subset, None)
                     .map(|v| v.filter(|x| x.is_finite()))
             })
             .collect()
@@ -620,14 +622,6 @@ impl FeatAug {
             queries,
             timing,
         })
-    }
-
-    /// Alias of [`FeatAug::fit`], kept for the historical borrow/own API
-    /// split: `fit` now co-owns the task's `Arc`-held tables directly, so
-    /// the returned [`OwnedAugModel`] is `Send + Sync + 'static` without
-    /// any table clone.
-    pub fn fit_owned(&self, task: &AugTask) -> Result<OwnedAugModel, AugTaskError> {
-        self.fit(task)
     }
 
     /// Run the full historical one-shot pipeline: [`FeatAug::fit`] followed

@@ -21,7 +21,7 @@
 use std::sync::Arc;
 
 use feataug_ml::Task;
-use feataug_tabular::{AggFunc, Column, Predicate, Table};
+use feataug_tabular::{AggFunc, Predicate, Table};
 
 use crate::exec::{EngineResult, QueryEngine};
 use crate::pipeline::{FeatAug, FeatAugConfig, OwnedAugModel};
@@ -173,13 +173,7 @@ impl SchemaAugModel {
     /// collisions keep the first copy, exactly like
     /// [`crate::multi::MultiAugModel::transform`]).
     pub fn transform(&self, table: &Table) -> EngineResult<Table> {
-        let mut augmented = table.clone();
-        for model in &self.models {
-            for (name, values) in model.transform_features(table)? {
-                let _ = augmented.add_column(name, Column::from_opt_f64s(&values));
-            }
-        }
-        Ok(augmented)
+        crate::multi::transform_union(&self.models, table, None)
     }
 }
 

@@ -3,44 +3,51 @@
 //! [`crate::pipeline::AugModel::serve`] is correct but pays avoidable costs
 //! on every request: it clones each key [`Value`], renders every query's
 //! structural `Debug` key to probe the engine's per-group feature cache, and
-//! re-resolves each query's key-subset positions. A [`ServingHandle`]
-//! (built once by [`crate::pipeline::AugModel::prepare`]) hoists all of that
-//! out of the hot path:
+//! re-resolves each query's key-subset positions. A [`ServingHandle`] hoists
+//! all of that out of the hot path. It is the one prepared serving type:
+//! [`crate::pipeline::AugModel::prepare`] builds it over one engine, and
+//! [`shard::ShardRouter::prepare`] over every shard of a key-sharded router.
+//! Per shard, the handle holds:
 //!
-//! * every planned query is resolved to an **interned feature slot** — a
+//! * every planned query resolved to an **interned feature slot** — a
 //!   direct `Arc` onto its memoized per-group feature vector, so no cache
 //!   map (and no `Debug` rendering) is touched per lookup;
-//! * every distinct group-key subset gets one **key probe**: the subset's
+//! * every distinct group-key subset's **key probe**: the subset's
 //!   positions within the full serve key, a pre-built value→dictionary-code
 //!   atomizer per key column (cloned out of the relevant table, so the hot
 //!   path never touches the table), and the engine's retained typed-key →
-//!   group-id map;
-//! * [`ServingHandle::lookup`] then answers a request with, per probe, one
-//!   dictionary probe per categorical key component and one group-map probe
-//!   — two hash probes for the common single-subset plan — followed by a
-//!   slice copy into the caller's buffer. The warm path performs **zero heap
-//!   allocations** (the key atoms live in a stack buffer; `Vec<KeyAtom>`
-//!   keys borrow as `[KeyAtom]` slices), which the serving conformance suite
-//!   asserts through a counting allocator.
+//!   group-id map.
+//!
+//! [`ServingHandle::lookup`] then checks the key's arity and routes it to
+//! the shard that owns it: shard 0, with no hash, when there is one shard,
+//! otherwise the hash the router partitions relevant rows by. It answers
+//! with, per probe, one dictionary probe per categorical key component and
+//! one group-map probe (two hash probes for the common single-subset plan),
+//! followed by a slice copy into the caller's buffer. The warm path
+//! performs **zero heap allocations** (the routing hash and the key atoms
+//! live on the stack; `Vec<KeyAtom>` keys borrow as `[KeyAtom]` slices),
+//! which the serving conformance suite asserts through a counting allocator
+//! for both one shard and several.
 //!
 //! [`ServingHandle::lookup_batch`] fans request batches across the same
 //! pool-cost-sized scoped worker pool the engine's batch evaluation uses
 //! ([`workers_for_pool`]; `FEATAUG_THREADS` stays authoritative). A handle
-//! over a shared-table engine is `Send + Sync + 'static`: share one behind
+//! over shared-table engines is `Send + Sync + 'static`: share one behind
 //! an `Arc` across every request thread of a serving process.
 //!
 //! ## Epochs
 //!
-//! The handle **follows live ingestion**. It keeps a cheap clone of the
-//! engine (sharing the compiled epoch cell) plus its plan, and compiles the
-//! probes and slots into a per-epoch [`EpochCell`]-published state. When
-//! [`crate::exec::QueryEngine::append_relevant`] publishes a new epoch, the
-//! next lookup notices the epoch advance (one atomic-epoch compare on the
-//! warm path), recompiles the state — pure memo reads, because an append
-//! carries every memoized per-group feature forward — and republishes it
-//! atomically. Lookups never block behind ingestion: in-flight requests
-//! finish against the state they pinned, and each batch pins exactly one
-//! epoch.
+//! The handle **follows live ingestion**. Each shard keeps a cheap clone of
+//! its engine (sharing the compiled epoch cell) and compiles its probes and
+//! slots into a per-epoch [`EpochCell`]-published state; the handle keeps
+//! the plan. When `append_relevant` publishes a new epoch on a shard's
+//! engine, the next lookup routed there notices the epoch advance (one
+//! atomic-epoch compare on the warm path), recompiles that shard's state —
+//! pure memo reads, because an append carries every memoized per-group
+//! feature forward — and republishes it atomically. Lookups never block
+//! behind ingestion: in-flight requests finish against the state they
+//! pinned, and each batch pins exactly one epoch per shard.
+//! [`ServingHandle::epoch`] sums the shards' compiled epochs.
 //!
 //! The [`tier`] submodule stacks the production concerns on top of the
 //! handle: an admission-controlled request queue with deadlines and load
@@ -181,62 +188,13 @@ struct PreparedState {
     slots: Vec<FeatureSlot>,
 }
 
-/// A prepared, allocation-free lookup handle over a fitted (or compiled)
-/// model's plan — built by [`crate::pipeline::AugModel::prepare`], which
-/// pays each planned query's one aggregation up front. The handle follows
-/// the engine across [`crate::exec::QueryEngine::append_relevant`] epochs.
-/// See the [module docs](self) for the hot-path anatomy.
-pub struct ServingHandle<'a> {
-    /// The engine the handle follows across epochs (a cheap clone sharing
-    /// the compiled epoch cell and memo).
-    engine: QueryEngine<'a>,
-    /// The plan served — kept so new epochs can be recompiled in place.
-    plan: AugPlan,
-    /// Feature column names, in plan (= output) order (stable across
-    /// epochs).
-    feature_names: Vec<String>,
-    /// The current epoch's compiled probes and slots.
-    state: EpochCell<PreparedState>,
-}
-
-impl std::fmt::Debug for ServingHandle<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = self.state.load();
-        f.debug_struct("ServingHandle")
-            .field("key_columns", &self.plan.key_columns)
-            .field("features", &state.slots.len())
-            .field("key_probes", &state.probes.len())
-            .field("epoch", &state.epoch)
-            .finish()
-    }
-}
-
-impl<'a> ServingHandle<'a> {
-    /// Resolve `plan` against `engine`: evaluate-and-memoize each query's
-    /// per-group feature (the one aggregation a cold query costs), intern
-    /// the feature slots, and pre-build one key probe per distinct group-key
-    /// subset. Errors when a query's aggregation fails, a group key is not a
-    /// plan key column, or a key column is missing from the relevant table.
-    pub(crate) fn prepare(
-        engine: &QueryEngine<'a>,
-        plan: &AugPlan,
-    ) -> EngineResult<ServingHandle<'a>> {
-        let core = engine.core();
-        let state = Self::build_state(engine, &core, plan)?;
-        Ok(ServingHandle {
-            engine: engine.clone(),
-            plan: plan.clone(),
-            feature_names: plan.feature_names(),
-            state: EpochCell::new(Arc::new(state)),
-        })
-    }
-
+impl PreparedState {
     /// Compile `plan`'s probes and slots against one pinned `core`. Every
     /// feature resolves through the engine memo (a map read when the epoch
     /// carried it forward), and every atomizer dictionary is cloned out of
     /// the pinned core's relevant table — appends can grow dictionaries, so
     /// the clones are per-epoch state, not handle state.
-    fn build_state(
+    fn build<'a>(
         engine: &QueryEngine<'a>,
         core: &EngineCore<'a>,
         plan: &AugPlan,
@@ -249,7 +207,7 @@ impl<'a> ServingHandle<'a> {
         type SubsetGroup = (Vec<String>, Arc<GroupIndex>, Vec<FeatureSlot>);
         let mut grouped: Vec<SubsetGroup> = Vec::new();
         for (out_pos, planned) in plan.queries.iter().enumerate() {
-            let (index, feats) = engine.group_feature(core, &planned.query)?;
+            let (index, feats) = engine.group_feature(core, &planned.query, None)?;
             let keys = &planned.query.group_keys;
             let slot = FeatureSlot { out_pos, feats };
             match grouped.iter_mut().find(|(subset, _, _)| subset == keys) {
@@ -306,17 +264,61 @@ impl<'a> ServingHandle<'a> {
         })
     }
 
+    /// The probe loop: `out` is cleared and refilled in plan order, one
+    /// group-id probe per distinct key subset. Without a token (`cancel` =
+    /// `None` — every search-time and deadline-less path) the checkpoint is
+    /// a skipped branch; with one, each probe boundary is a preemption point.
+    // lint: hot-path
+    fn probe(
+        &self,
+        key: &[Value],
+        out: &mut Vec<Option<f64>>,
+        cancel: Option<&CancelToken>,
+    ) -> EngineResult<()> {
+        crate::fail_point!("serving.lookup");
+        out.clear();
+        out.resize(self.slots.len(), None);
+        for probe in &self.probes {
+            cancel_checkpoint(cancel)?;
+            let group = probe.group_of(key);
+            for slot in &self.slots[probe.slots.start..probe.slots.end] {
+                out[slot.out_pos] = group
+                    .and_then(|g| slot.feats[g as usize])
+                    .filter(|v| v.is_finite());
+            }
+        }
+        Ok(())
+    }
+}
+
+/// One shard of a [`ServingHandle`]: the engine the shard's state follows
+/// across epochs (a cheap clone sharing the compiled epoch cell and memo),
+/// and that state.
+struct PreparedShard<'a> {
+    engine: QueryEngine<'a>,
+    state: EpochCell<PreparedState>,
+}
+
+impl<'a> PreparedShard<'a> {
+    fn prepare(engine: &QueryEngine<'a>, plan: &AugPlan) -> EngineResult<PreparedShard<'a>> {
+        let state = PreparedState::build(engine, &engine.core(), plan)?;
+        Ok(PreparedShard {
+            engine: engine.clone(),
+            state: EpochCell::new(Arc::new(state)),
+        })
+    }
+
     /// Pin the current epoch's compiled state, recompiling first when the
     /// engine has advanced past it (an `append_relevant` landed). The warm
     /// path — epoch unchanged — is two short lock holds and one compare,
     /// with **zero heap allocations**.
     // lint: hot-path
-    fn current_state(&self) -> EngineResult<Arc<PreparedState>> {
+    fn current_state(&self, plan: &AugPlan) -> EngineResult<Arc<PreparedState>> {
         let state = self.state.load();
         if state.epoch == self.engine.epoch() {
             return Ok(state);
         }
-        self.refresh()
+        self.refresh(plan)
     }
 
     /// Recompile the probes and slots against the engine's current epoch and
@@ -324,16 +326,94 @@ impl<'a> ServingHandle<'a> {
     /// so this is pure map reads — no aggregation re-runs, no evaluation
     /// counter moves. Racing refreshes are benign: each publishes a state
     /// consistent with some recent epoch, and the next lookup re-checks.
-    fn refresh(&self) -> EngineResult<Arc<PreparedState>> {
+    fn refresh(&self, plan: &AugPlan) -> EngineResult<Arc<PreparedState>> {
         let core = self.engine.core();
-        let built = Arc::new(Self::build_state(&self.engine, &core, &self.plan)?);
+        let built = Arc::new(PreparedState::build(&self.engine, &core, plan)?);
         self.state.swap(Arc::clone(&built));
         Ok(built)
     }
+}
 
-    /// The engine epoch the handle last compiled its lookup state against.
+/// A prepared, allocation-free lookup handle over a fitted (or compiled)
+/// model's plan, on one engine or on every shard of a key-sharded router —
+/// built by [`crate::pipeline::AugModel::prepare`] or
+/// [`shard::ShardRouter::prepare`], which pay each planned query's one
+/// aggregation (per shard) up front. The handle follows its engines across
+/// `append_relevant` epochs. See the [module docs](self) for the hot-path
+/// anatomy.
+pub struct ServingHandle<'a> {
+    /// One entry per shard, indexed by the routing hash (a single entry for
+    /// an unsharded model).
+    shards: Vec<PreparedShard<'a>>,
+    /// Positions of the routing keys within the plan's key columns, in
+    /// routing-key order, so a request key hashes without any name lookup.
+    /// Unused with one shard.
+    route_positions: Vec<usize>,
+    /// The plan served — kept so new epochs can be recompiled in place.
+    plan: AugPlan,
+    /// Feature column names, in plan (= output) order (stable across
+    /// epochs).
+    feature_names: Vec<String>,
+}
+
+impl std::fmt::Debug for ServingHandle<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ServingHandle")
+            .field("key_columns", &self.plan.key_columns)
+            .field("features", &self.feature_names.len())
+            .field("n_shards", &self.shards.len())
+            .field("epoch", &self.epoch())
+            .finish()
+    }
+}
+
+impl<'a> ServingHandle<'a> {
+    /// Resolve `plan` against `engine`: evaluate-and-memoize each query's
+    /// per-group feature (the one aggregation a cold query costs), intern
+    /// the feature slots, and pre-build one key probe per distinct group-key
+    /// subset. Errors when a query's aggregation fails, a group key is not a
+    /// plan key column, or a key column is missing from the relevant table.
+    pub(crate) fn prepare(
+        engine: &QueryEngine<'a>,
+        plan: &AugPlan,
+    ) -> EngineResult<ServingHandle<'a>> {
+        Self::over_shards(std::slice::from_ref(engine), Vec::new(), plan)
+    }
+
+    /// [`ServingHandle::prepare`] on every engine of `shards`, which a
+    /// request key reaches by hashing its components at `route_positions`.
+    /// The caller has checked that every planned query groups by those
+    /// routing keys, so each group lives whole on one shard.
+    pub(crate) fn over_shards(
+        shards: &[QueryEngine<'a>],
+        route_positions: Vec<usize>,
+        plan: &AugPlan,
+    ) -> EngineResult<ServingHandle<'a>> {
+        let shards = shards
+            .iter()
+            .map(|engine| PreparedShard::prepare(engine, plan))
+            .collect::<EngineResult<Vec<_>>>()?;
+        Ok(ServingHandle {
+            shards,
+            route_positions,
+            plan: plan.clone(),
+            feature_names: plan.feature_names(),
+        })
+    }
+
+    /// The engine epoch the handle last compiled its lookup state against,
+    /// summed over shards: with one shard it is that engine's epoch, and it
+    /// grows whenever any shard's state follows an append.
     pub fn epoch(&self) -> u64 {
-        self.state.load().epoch
+        self.shards
+            .iter()
+            .map(|shard| shard.state.load().epoch)
+            .sum()
+    }
+
+    /// Number of shards the handle routes across (1 when unsharded).
+    pub fn n_shards(&self) -> usize {
+        self.shards.len()
     }
 
     /// The plan's foreign-key columns, in the order `lookup` expects the key
@@ -359,16 +439,16 @@ impl<'a> ServingHandle<'a> {
     /// [`Value`] per plan key column.
     ///
     /// The warm path — a reused `out` buffer — performs **zero heap
-    /// allocations**: per distinct key subset, the key atoms are built in a
+    /// allocations**: the routing hash (sharded handles only) runs on the
+    /// stack, and per distinct key subset the key atoms are built in a
     /// stack buffer, the group id is one hash probe of the retained key map
     /// (plus one dictionary probe per categorical key component), and each
     /// feature is a slice read. No `Debug`/SQL rendering, no [`Value`]
     /// clones. Results are bit-identical to
-    /// [`crate::pipeline::AugModel::serve`].
+    /// [`crate::pipeline::AugModel::serve`] on the unsharded model.
     // lint: hot-path
     pub fn lookup(&self, key: &[Value], out: &mut Vec<Option<f64>>) -> EngineResult<()> {
-        let state = self.current_state()?;
-        self.lookup_with(&state, key, out)
+        self.lookup_with(key, out, None)
     }
 
     /// [`ServingHandle::lookup`] under a [`CancelToken`]: the probe loop
@@ -383,55 +463,49 @@ impl<'a> ServingHandle<'a> {
         out: &mut Vec<Option<f64>>,
         cancel: &CancelToken,
     ) -> EngineResult<()> {
-        let state = self.current_state()?;
-        self.lookup_with_cancel(&state, key, out, Some(cancel))
+        self.lookup_with(key, out, Some(cancel))
     }
 
-    /// [`ServingHandle::lookup`] against one already-pinned epoch state —
-    /// the shared tail of the point and batch paths.
+    /// The one lookup path: check the key's arity, route it to its shard,
+    /// pin that shard's state (following a new epoch first if one landed),
+    /// and run the probe loop.
     // lint: hot-path
-    fn lookup_with(
+    pub(crate) fn lookup_with(
         &self,
-        state: &PreparedState,
-        key: &[Value],
-        out: &mut Vec<Option<f64>>,
-    ) -> EngineResult<()> {
-        self.lookup_with_cancel(state, key, out, None)
-    }
-
-    /// The shared probe loop. Without a token (`cancel` = `None` — every
-    /// search-time and deadline-less path) the checkpoint is a skipped
-    /// branch; with one, each probe boundary is a preemption point.
-    // lint: hot-path
-    fn lookup_with_cancel(
-        &self,
-        state: &PreparedState,
         key: &[Value],
         out: &mut Vec<Option<f64>>,
         cancel: Option<&CancelToken>,
     ) -> EngineResult<()> {
-        crate::fail_point!("serving.lookup");
-        if key.len() != self.plan.key_columns.len() {
-            // lint: allow(alloc): cold arity-error branch, never taken by a well-formed caller
-            return Err(feataug_tabular::TabularError::InvalidArgument(format!(
-                "lookup key has {} values for {} key columns",
-                key.len(),
-                self.plan.key_columns.len()
-            ))
-            .into());
+        self.check_arity(key)?;
+        let state = self.shards[self.route(key)].current_state(&self.plan)?;
+        state.probe(key, out, cancel)
+    }
+
+    /// Index of the shard owning `key` (arity already checked): 0 with one
+    /// shard, otherwise [`shard::route`] over the routing-key components —
+    /// the hash the router partitioned the relevant rows by.
+    // lint: hot-path
+    fn route(&self, key: &[Value]) -> usize {
+        let n_shards = self.shards.len();
+        if n_shards == 1 {
+            return 0;
         }
-        out.clear();
-        out.resize(state.slots.len(), None);
-        for probe in &state.probes {
-            cancel_checkpoint(cancel)?;
-            let group = probe.group_of(key);
-            for slot in &state.slots[probe.slots.start..probe.slots.end] {
-                out[slot.out_pos] = group
-                    .and_then(|g| slot.feats[g as usize])
-                    .filter(|v| v.is_finite());
-            }
+        crate::fail_point!("shard.route");
+        shard::route(key, &self.route_positions, n_shards)
+    }
+
+    /// Reject a key whose arity does not match the plan's key columns (a
+    /// cold branch no well-formed request takes).
+    fn check_arity(&self, key: &[Value]) -> EngineResult<()> {
+        if key.len() == self.plan.key_columns.len() {
+            return Ok(());
         }
-        Ok(())
+        Err(feataug_tabular::TabularError::InvalidArgument(format!(
+            "lookup key has {} values for {} key columns",
+            key.len(),
+            self.plan.key_columns.len()
+        ))
+        .into())
     }
 
     /// [`ServingHandle::lookup`] into a fresh vector (allocates; the
@@ -450,14 +524,7 @@ impl<'a> ServingHandle<'a> {
     /// any work.
     pub fn lookup_batch(&self, keys: &[Vec<Value>]) -> EngineResult<Vec<Vec<Option<f64>>>> {
         for key in keys {
-            if key.len() != self.plan.key_columns.len() {
-                return Err(feataug_tabular::TabularError::InvalidArgument(format!(
-                    "lookup key has {} values for {} key columns",
-                    key.len(),
-                    self.plan.key_columns.len()
-                ))
-                .into());
-            }
+            self.check_arity(key)?;
         }
         self.try_lookup_batch(keys).into_iter().collect()
     }
@@ -469,9 +536,14 @@ impl<'a> ServingHandle<'a> {
     /// bit-identical to serial [`ServingHandle::lookup`] calls at any worker
     /// count.
     pub fn try_lookup_batch(&self, keys: &[Vec<Value>]) -> Vec<EngineResult<Vec<Option<f64>>>> {
-        // Pin one epoch for the whole batch: every batch-mate answers
-        // against the same snapshot even while appends land concurrently.
-        let pinned = self.current_state();
+        // Pin one epoch per shard for the whole batch: every batch-mate
+        // answers against the same snapshot even while appends land
+        // concurrently.
+        let pinned: Vec<EngineResult<Arc<PreparedState>>> = self
+            .shards
+            .iter()
+            .map(|shard| shard.current_state(&self.plan))
+            .collect();
         fan_out(
             keys,
             workers_for_pool(keys.len()),
@@ -479,10 +551,12 @@ impl<'a> ServingHandle<'a> {
             || Vec::with_capacity(self.plan.queries.len()),
             |_| (),
             |row, key| {
-                match &pinned {
-                    Ok(state) => self.lookup_with(state, key, row)?,
-                    // The epoch recompile failed; re-resolving per request
-                    // reproduces the typed error for each batch-mate.
+                self.check_arity(key)?;
+                match &pinned[self.route(key)] {
+                    Ok(state) => state.probe(key, row, None)?,
+                    // The shard's epoch recompile failed; re-resolving per
+                    // request reproduces the typed error for each
+                    // batch-mate it owns.
                     Err(_) => self.lookup(key, row)?,
                 }
                 Ok(row.clone())

@@ -31,17 +31,20 @@
 //!   ShardRouter ──┼── shard 1: QueryEngine          ── append_relevant
 //!   (generation)  └── shard 2: QueryEngine             splits the batch by
 //!        │                                             the same hash
-//!        └── ShardedServingHandle: one ServingHandle (PreparedState
-//!            EpochCell) per shard; lookup = hash + owning-shard probe
+//!        └── prepare → ServingHandle: per shard, an engine clone and its
+//!            PreparedState EpochCell; lookup = route + owning-shard probe
 //! ```
 //!
-//! `lookup` / serve probe only the owning shard; `transform` and
-//! `append_relevant` fan across shards (each input batch split by the same
-//! hash). Appends publish per-shard epochs and bump one router-level
-//! generation once the whole batch has landed. A panicking shard fails only
-//! the requests it owns — the router contains the panic as
-//! [`EngineError::WorkerPanic`] and the survivors keep serving (chaos-tested
-//! via the `shard.route` / `shard.append` failpoints).
+//! [`ShardRouter::prepare`] builds the same [`ServingHandle`] an unsharded
+//! model prepares, with one entry per shard, so the serving tier takes it
+//! as is. `lookup` / serve probe only the shard that owns the key (`route`);
+//! `transform` and `append_relevant` fan across shards, splitting their
+//! input rows by the same hash (`row_shard`). Appends publish per-shard
+//! epochs and bump one router-level generation once the whole batch has
+//! landed. A panicking shard fails only the requests it owns — the router
+//! contains the panic as [`EngineError::WorkerPanic`] and the survivors keep
+//! serving (chaos-tested via the `shard.route` / `shard.append`
+//! failpoints).
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::Hasher;
@@ -52,8 +55,8 @@ use std::sync::{Arc, Mutex};
 use feataug_tabular::{CancelToken, Column, Table, Value};
 
 use crate::exec::{
-    default_workers, fan_out, lock_recover, panic_message, EngineError, EngineResult, Epoch,
-    QueryEngine,
+    default_workers, fan_out, lock_recover, panic_message, workers_for_pool, EngineError,
+    EngineResult, Epoch, QueryEngine,
 };
 use crate::query::{AugPlan, PredicateQuery};
 use crate::serving::ServingHandle;
@@ -137,6 +140,19 @@ fn hash_cell(h: &mut DefaultHasher, column: &Column, row: usize) {
             None => h.write_u8(0),
         },
     }
+}
+
+/// Shard owning a request key, hashing its components at `positions` (the
+/// routing keys' places in the key, in shard-key order). The same hash as
+/// [`row_shard`], so a key reaches the shard holding its stored rows. Callers
+/// answer shard 0 themselves when there is only one.
+// lint: hot-path
+pub(crate) fn route(key: &[Value], positions: &[usize], n_shards: usize) -> usize {
+    let mut h = DefaultHasher::new();
+    for &pos in positions {
+        hash_value(&mut h, &key[pos]);
+    }
+    (h.finish() % n_shards as u64) as usize
 }
 
 /// Shard owning `row` of a table whose shard-key columns are `columns` (in
@@ -315,10 +331,48 @@ impl ShardRouter {
         self.generation.load(Ordering::Acquire)
     }
 
-    /// The engine owning shard `index` — the conformance and chaos suites
-    /// interrogate shards directly; serving goes through the router.
-    pub fn shard(&self, index: usize) -> &QueryEngine<'static> {
-        &self.shards[index]
+    /// The engine owning shard `index`, or `None` when `index` is past the
+    /// last shard. Serving goes through the router; this exposes a shard's
+    /// engine for inspection.
+    pub fn shard(&self, index: usize) -> Option<&QueryEngine<'static>> {
+        self.shards.get(index)
+    }
+
+    /// Prepare the allocation-free lookup handle for `plan` over every shard
+    /// (see [`ServingHandle`]): each shard pays its partition's aggregations
+    /// once, up front, and a lookup probes only the shard owning its key.
+    /// Errors when a shard key is not a plan key column, when some planned
+    /// query does not group by every shard key (its groups straddle shards),
+    /// or when any shard's prepare fails.
+    pub fn prepare(&self, plan: &AugPlan) -> EngineResult<ServingHandle<'static>> {
+        let route_positions = self
+            .shard_keys
+            .iter()
+            .map(|key| {
+                plan.key_columns
+                    .iter()
+                    .position(|c| c == key)
+                    .ok_or_else(|| {
+                        invalid(format!(
+                            "shard key `{key}` is not a plan key column; the router cannot \
+                             route this plan's requests"
+                        ))
+                    })
+            })
+            .collect::<EngineResult<Vec<_>>>()?;
+        if self.shards.len() > 1 {
+            for planned in &plan.queries {
+                for shard_key in &self.shard_keys {
+                    if !planned.query.group_keys.contains(shard_key) {
+                        return Err(invalid(format!(
+                            "planned query does not group by shard key `{shard_key}`; \
+                             its groups straddle shards"
+                        )));
+                    }
+                }
+            }
+        }
+        ServingHandle::over_shards(&self.shards, route_positions, plan)
     }
 
     /// Shard owning a key whose components are `key_values` aligned with
@@ -339,20 +393,22 @@ impl ShardRouter {
         if self.shards.len() == 1 {
             return Ok(0);
         }
-        let mut h = DefaultHasher::new();
-        for shard_key in &self.shard_keys {
-            let pos = group_keys
-                .iter()
-                .position(|k| k == shard_key)
-                .ok_or_else(|| {
-                    invalid(format!(
-                        "query does not group by shard key `{shard_key}`; its groups \
-                         straddle shards"
-                    ))
-                })?;
-            hash_value(&mut h, &key_values[pos]);
-        }
-        Ok((h.finish() % self.shards.len() as u64) as usize)
+        let positions = self
+            .shard_keys
+            .iter()
+            .map(|shard_key| {
+                group_keys
+                    .iter()
+                    .position(|k| k == shard_key)
+                    .ok_or_else(|| {
+                        invalid(format!(
+                            "query does not group by shard key `{shard_key}`; its groups \
+                             straddle shards"
+                        ))
+                    })
+            })
+            .collect::<EngineResult<Vec<_>>>()?;
+        Ok(route(key_values, &positions, self.shards.len()))
     }
 
     /// [`QueryEngine::lookup`] against the shard owning `key_values`. A panic
@@ -364,7 +420,7 @@ impl ShardRouter {
         query: &PredicateQuery,
         key_values: &[Value],
     ) -> EngineResult<Option<f64>> {
-        self.lookup_opt(query, key_values, None)
+        self.lookup_with(query, key_values, None)
     }
 
     /// [`ShardRouter::lookup`] under a [`CancelToken`]: the owning shard's
@@ -375,22 +431,19 @@ impl ShardRouter {
         key_values: &[Value],
         cancel: &CancelToken,
     ) -> EngineResult<Option<f64>> {
-        self.lookup_opt(query, key_values, Some(cancel))
+        self.lookup_with(query, key_values, Some(cancel))
     }
 
-    fn lookup_opt(
+    fn lookup_with(
         &self,
         query: &PredicateQuery,
         key_values: &[Value],
         cancel: Option<&CancelToken>,
     ) -> EngineResult<Option<f64>> {
-        let shard = self.shard_of_query_key(&query.group_keys, key_values)?;
+        let engine = &self.shards[self.shard_of_query_key(&query.group_keys, key_values)?];
         match catch_unwind(AssertUnwindSafe(|| {
             crate::fail_point!("shard.route");
-            match cancel {
-                Some(token) => self.shards[shard].lookup_cancel(query, key_values, token),
-                None => self.shards[shard].lookup(query, key_values),
-            }
+            engine.lookup_pinned(&engine.core(), query, key_values, cancel)
         })) {
             Ok(result) => result,
             Err(payload) => Err(EngineError::WorkerPanic {
@@ -412,7 +465,7 @@ impl ShardRouter {
         queries: &[PredicateQuery],
         table: &Table,
     ) -> EngineResult<Vec<Vec<Option<f64>>>> {
-        self.transform_opt(queries, table, None)
+        self.transform_with(queries, table, None)
     }
 
     /// [`ShardRouter::transform`] under a [`CancelToken`]: every shard's
@@ -424,21 +477,19 @@ impl ShardRouter {
         table: &Table,
         cancel: &CancelToken,
     ) -> EngineResult<Vec<Vec<Option<f64>>>> {
-        self.transform_opt(queries, table, Some(cancel))
+        self.transform_with(queries, table, Some(cancel))
     }
 
-    fn transform_opt(
+    fn transform_with(
         &self,
         queries: &[PredicateQuery],
         table: &Table,
         cancel: Option<&CancelToken>,
     ) -> EngineResult<Vec<Vec<Option<f64>>>> {
+        let workers = workers_for_pool(queries.len());
         if self.shards.len() == 1 {
             // Degenerate single-shard router: today's path, byte for byte.
-            return match cancel {
-                Some(token) => self.shards[0].transform_cancel(queries, table, token),
-                None => self.shards[0].transform(queries, table),
-            };
+            return self.shards[0].transform_with(queries, table, workers, cancel);
         }
         let buckets = partition_rows(table, &self.shard_keys, self.shards.len())?;
         let jobs: Vec<(usize, Vec<usize>)> = buckets
@@ -455,10 +506,7 @@ impl ShardRouter {
             |_, (shard, rows)| {
                 crate::fail_point!("shard.route");
                 let sub = table.take_with_dict(rows);
-                match cancel {
-                    Some(token) => self.shards[*shard].transform_cancel(queries, &sub, token),
-                    None => self.shards[*shard].transform(queries, &sub),
-                }
+                self.shards[*shard].transform_with(queries, &sub, workers, cancel)
             },
         );
         let mut out: Vec<Vec<Option<f64>>> = queries
@@ -516,161 +564,6 @@ impl ShardRouter {
             appended_rows: rows.num_rows(),
             shard_epochs,
         })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// ShardedServingHandle
-// ---------------------------------------------------------------------------
-
-/// The sharded analogue of [`ServingHandle`]: one prepared handle per shard
-/// (each with its own `PreparedState` epoch cell, refreshed lazily as its
-/// shard's epochs advance), plus the routing hash. Plugs into
-/// [`crate::serving::tier::ServingTier`] unchanged — a warm lookup is the
-/// routing hash plus one owning-shard probe, with zero heap allocations
-/// (counting-allocator-enforced in `tests/serving_alloc.rs`).
-pub struct ShardedServingHandle {
-    /// One prepared handle per shard, index-aligned with the router's
-    /// engines.
-    handles: Vec<ServingHandle<'static>>,
-    /// Positions of the router's shard keys inside the plan's key columns
-    /// (shard-key order), so a request key hashes without any name lookups.
-    shard_positions: Vec<usize>,
-    /// The plan's key columns — request keys align with these.
-    key_columns: Vec<String>,
-    /// Feature column names, in plan (= output) order.
-    feature_names: Vec<String>,
-}
-
-impl std::fmt::Debug for ShardedServingHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedServingHandle")
-            .field("n_shards", &self.handles.len())
-            .field("key_columns", &self.key_columns)
-            .field("features", &self.feature_names.len())
-            .finish()
-    }
-}
-
-impl ShardedServingHandle {
-    /// Resolve `plan` against every shard of `router` — each shard pays its
-    /// partition's aggregations once, up front. Errors when a shard key is
-    /// not a plan key column, when some planned query does not group by every
-    /// shard key (its groups straddle shards), or when any per-shard prepare
-    /// fails.
-    pub fn prepare(router: &ShardRouter, plan: &AugPlan) -> EngineResult<ShardedServingHandle> {
-        let shard_positions = router
-            .shard_keys
-            .iter()
-            .map(|key| {
-                plan.key_columns
-                    .iter()
-                    .position(|c| c == key)
-                    .ok_or_else(|| {
-                        invalid(format!(
-                            "shard key `{key}` is not a plan key column; the router cannot \
-                         route this plan's requests"
-                        ))
-                    })
-            })
-            .collect::<EngineResult<Vec<_>>>()?;
-        if router.n_shards() > 1 {
-            for planned in &plan.queries {
-                for shard_key in &router.shard_keys {
-                    if !planned.query.group_keys.contains(shard_key) {
-                        return Err(invalid(format!(
-                            "planned query does not group by shard key `{shard_key}`; \
-                             its groups straddle shards"
-                        )));
-                    }
-                }
-            }
-        }
-        let handles = router
-            .shards
-            .iter()
-            .map(|engine| ServingHandle::prepare(engine, plan))
-            .collect::<EngineResult<Vec<_>>>()?;
-        Ok(ShardedServingHandle {
-            handles,
-            shard_positions,
-            key_columns: plan.key_columns.clone(),
-            feature_names: plan.feature_names(),
-        })
-    }
-
-    /// Number of shards behind this handle.
-    pub fn n_shards(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// The key columns a request key aligns with, in plan order.
-    pub fn key_columns(&self) -> &[String] {
-        &self.key_columns
-    }
-
-    /// Feature column names, in output order.
-    pub fn feature_names(&self) -> &[String] {
-        &self.feature_names
-    }
-
-    /// Number of features a lookup produces.
-    pub fn num_features(&self) -> usize {
-        self.feature_names.len()
-    }
-
-    /// Shard owning `key` (components aligned with
-    /// [`ShardedServingHandle::key_columns`]; the caller has checked arity).
-    // lint: hot-path
-    fn shard_of(&self, key: &[Value]) -> usize {
-        if self.handles.len() == 1 {
-            return 0;
-        }
-        let mut h = DefaultHasher::new();
-        for &pos in &self.shard_positions {
-            hash_value(&mut h, &key[pos]);
-        }
-        (h.finish() % self.handles.len() as u64) as usize
-    }
-
-    /// Answer one request from the owning shard: the routing hash plus one
-    /// [`ServingHandle::lookup`] probe. `out` is cleared and refilled in
-    /// plan order; on the warm path (shard epoch unchanged, `out` capacity
-    /// retained) the whole call performs **zero heap allocations** — the
-    /// hash is stack-only and the probe reuses the shard's prepared state.
-    // lint: hot-path
-    pub fn lookup(&self, key: &[Value], out: &mut Vec<Option<f64>>) -> EngineResult<()> {
-        crate::fail_point!("shard.route");
-        if key.len() != self.key_columns.len() {
-            return Err(self.arity_error(key.len()));
-        }
-        self.handles[self.shard_of(key)].lookup(key, out)
-    }
-
-    /// [`ShardedServingHandle::lookup`] under a [`CancelToken`]: the owning
-    /// shard's probe loop polls the token before each key probe, so a tripped
-    /// deadline preempts the request mid-lookup with
-    /// [`EngineError::Cancelled`].
-    pub fn lookup_cancel(
-        &self,
-        key: &[Value],
-        out: &mut Vec<Option<f64>>,
-        cancel: &CancelToken,
-    ) -> EngineResult<()> {
-        crate::fail_point!("shard.route");
-        if key.len() != self.key_columns.len() {
-            return Err(self.arity_error(key.len()));
-        }
-        self.handles[self.shard_of(key)].lookup_cancel(key, out, cancel)
-    }
-
-    /// Cold constructor for the arity mismatch error, kept out of the
-    /// hot-path functions so they stay allocation-free.
-    fn arity_error(&self, got: usize) -> EngineError {
-        invalid(format!(
-            "lookup key has {got} values for {} key columns",
-            self.key_columns.len()
-        ))
     }
 }
 
@@ -761,9 +654,12 @@ mod tests {
         assert_eq!(router.generation(), 0);
         // Partition covers every row exactly once.
         let total: usize = (0..3)
-            .map(|s| router.shard(s).core().relevant().num_rows())
+            .map(|s| router.shard(s).unwrap().core().relevant().num_rows())
             .sum();
         assert_eq!(total, relevant().num_rows());
+        // Past the last shard there is no engine, and no panic.
+        assert!(router.shard(3).is_none());
+        assert!(router.shard(usize::MAX).is_none());
     }
 
     #[test]
@@ -899,7 +795,7 @@ mod tests {
             let router =
                 ShardRouter::build_for_plan(Arc::new(train.clone()), &relevant, &plan, n_shards)
                     .unwrap();
-            let handle = ShardedServingHandle::prepare(&router, &plan).unwrap();
+            let handle = router.prepare(&plan).unwrap();
             assert_eq!(handle.n_shards(), n_shards);
             assert_eq!(handle.num_features(), plan.queries.len());
             assert_eq!(handle.feature_names(), baseline.feature_names());
@@ -925,6 +821,42 @@ mod tests {
                 .lookup(&[Value::Str("a".into())], &mut got)
                 .unwrap_err();
             assert!(err.to_string().contains("1 values for 2"), "{err}");
+
+            // A router append moves the shards' epochs; lookups of the
+            // touched keys follow them, and answers follow the new rows.
+            let epoch_before = handle.epoch();
+            let mut batch = Table::new("logs");
+            batch
+                .add_column("cname", Column::from_strs(&["a", "b"]))
+                .unwrap();
+            batch
+                .add_column("mid", Column::from_strs(&["m1", "m2"]))
+                .unwrap();
+            batch
+                .add_column("pprice", Column::from_f64s(&[5.0, 9.0]))
+                .unwrap();
+            batch
+                .add_column("department", Column::from_strs(&["E", "E"]))
+                .unwrap();
+            router.append_relevant(&batch).unwrap();
+            let refit_relevant = relevant.concat(&batch).unwrap();
+            let refit = QueryEngine::new(&train, &refit_relevant);
+            let refit_handle = ServingHandle::prepare(&refit, &plan).unwrap();
+            for (c, m) in [("a", "m1"), ("b", "m2")] {
+                let key = [Value::Str(c.into()), Value::Str(m.into())];
+                handle.lookup(&key, &mut got).unwrap();
+                refit_handle.lookup(&key, &mut want).unwrap();
+                assert_eq!(
+                    got.iter().map(|x| x.map(f64::to_bits)).collect::<Vec<_>>(),
+                    want.iter().map(|x| x.map(f64::to_bits)).collect::<Vec<_>>(),
+                    "post-append {c}/{m} n={n_shards}"
+                );
+            }
+            assert!(
+                handle.epoch() > epoch_before,
+                "n={n_shards}: epoch {} did not advance past {epoch_before}",
+                handle.epoch()
+            );
         }
     }
 

@@ -1,8 +1,7 @@
 //! The admission-controlled serving tier: bounded queueing, per-request
 //! deadlines, load shedding, graceful degradation, and atomic model hot-swap
-//! over a [`ServingModel`] — one prepared [`ServingHandle`] or a key-sharded
-//! [`ShardedServingHandle`] (see [`crate::serving::shard`]); both plug in
-//! unchanged.
+//! over a prepared [`ServingHandle`] — unsharded or key-sharded (see
+//! [`crate::serving::shard`]); the tier serves either shape the same way.
 //!
 //! A [`ServingHandle`] answers one lookup fast, but a production front door
 //! needs more than speed: under overload it must refuse work it cannot finish
@@ -30,7 +29,7 @@
 //! finish against the model their batch pinned, the next batch sees the new
 //! one, and no reader ever blocks longer than another reader's pointer clone.
 //! Note that live `append_relevant` ingestion needs **no** swap at all: each
-//! installed handle follows its engine's epochs by itself.
+//! installed handle follows its engines' epochs by itself.
 //!
 //! ```no_run
 //! use std::sync::Arc;
@@ -49,8 +48,7 @@ use std::time::{Duration, Instant};
 
 use feataug_tabular::{CancelToken, Value};
 
-use crate::exec::{lock_recover, panic_message, EngineError, EngineResult};
-use crate::serving::shard::ShardedServingHandle;
+use crate::exec::{lock_recover, panic_message, EngineError};
 use crate::serving::ServingHandle;
 
 /// Sizing and policy of a [`ServingTier`].
@@ -58,11 +56,8 @@ use crate::serving::ServingHandle;
 pub struct TierConfig {
     /// Dedicated worker threads draining the queue (min 1).
     pub workers: usize,
-    /// Hard bound on queued requests; admission past it always sheds.
-    pub queue_capacity: usize,
-    /// Queue depth at which admission starts shedding — the early-warning
-    /// line below `queue_capacity` that keeps latency bounded under
-    /// overload.
+    /// The admission bound: a request arriving to a queue already this deep
+    /// is shed, which keeps latency bounded under overload.
     pub shed_watermark: usize,
     /// Most requests one worker drains per queue acquisition (batch size).
     pub max_batch: usize,
@@ -78,7 +73,6 @@ impl Default for TierConfig {
     fn default() -> TierConfig {
         TierConfig {
             workers: 2,
-            queue_capacity: 1024,
             shed_watermark: 768,
             max_batch: 32,
             default_deadline: None,
@@ -91,7 +85,7 @@ impl Default for TierConfig {
 #[derive(Debug)]
 pub enum TierError {
     /// Admission control refused the request: the queue was already `depth`
-    /// deep, past the shed watermark (or the hard capacity).
+    /// deep, at or past the shed watermark.
     Shed {
         /// Queue depth observed at admission time.
         depth: usize,
@@ -137,93 +131,6 @@ impl std::error::Error for TierError {
 // `serving::tier::EpochCell` users keep compiling.
 pub use crate::exec::EpochCell;
 
-/// What a tier serves: one prepared [`ServingHandle`], or a
-/// [`ShardedServingHandle`] routing each key to its owning shard. Both plug
-/// into the tier unchanged — [`ServingTier::new`] and
-/// [`ServingTier::install`] accept either via `Into<ServingModel>`, and the
-/// worker loop only needs the common lookup surface below.
-#[derive(Debug)]
-pub enum ServingModel {
-    /// A single prepared handle over one engine.
-    Single(Arc<ServingHandle<'static>>),
-    /// Hash-routed per-shard handles (see [`crate::serving::shard`]).
-    Sharded(Arc<ShardedServingHandle>),
-}
-
-impl From<Arc<ServingHandle<'static>>> for ServingModel {
-    fn from(handle: Arc<ServingHandle<'static>>) -> ServingModel {
-        ServingModel::Single(handle)
-    }
-}
-
-impl From<ServingHandle<'static>> for ServingModel {
-    fn from(handle: ServingHandle<'static>) -> ServingModel {
-        ServingModel::Single(Arc::new(handle))
-    }
-}
-
-impl From<Arc<ShardedServingHandle>> for ServingModel {
-    fn from(handle: Arc<ShardedServingHandle>) -> ServingModel {
-        ServingModel::Sharded(handle)
-    }
-}
-
-impl From<ShardedServingHandle> for ServingModel {
-    fn from(handle: ShardedServingHandle) -> ServingModel {
-        ServingModel::Sharded(Arc::new(handle))
-    }
-}
-
-impl ServingModel {
-    /// Number of features a lookup produces.
-    pub fn num_features(&self) -> usize {
-        match self {
-            ServingModel::Single(h) => h.num_features(),
-            ServingModel::Sharded(h) => h.num_features(),
-        }
-    }
-
-    /// Feature column names, in output order.
-    pub fn feature_names(&self) -> &[String] {
-        match self {
-            ServingModel::Single(h) => h.feature_names(),
-            ServingModel::Sharded(h) => h.feature_names(),
-        }
-    }
-
-    /// The key columns a request key aligns with.
-    pub fn key_columns(&self) -> &[String] {
-        match self {
-            ServingModel::Single(h) => h.key_columns(),
-            ServingModel::Sharded(h) => h.key_columns(),
-        }
-    }
-
-    /// Answer one request (`out` cleared and refilled in plan order).
-    pub fn lookup(&self, key: &[Value], out: &mut Vec<Option<f64>>) -> EngineResult<()> {
-        match self {
-            ServingModel::Single(h) => h.lookup(key, out),
-            ServingModel::Sharded(h) => h.lookup(key, out),
-        }
-    }
-
-    /// [`ServingModel::lookup`] under a [`CancelToken`]: cold aggregations
-    /// poll the token at the kernel checkpoints and warm probe loops poll it
-    /// per probe, so a fired deadline preempts the request mid-work with
-    /// [`EngineError::Cancelled`].
-    pub fn lookup_cancel(
-        &self,
-        key: &[Value],
-        out: &mut Vec<Option<f64>>,
-        cancel: &CancelToken,
-    ) -> EngineResult<()> {
-        match self {
-            ServingModel::Single(h) => h.lookup_cancel(key, out, cancel),
-            ServingModel::Sharded(h) => h.lookup_cancel(key, out, cancel),
-        }
-    }
-}
-
 /// One queued lookup: the key, the admission-stamped deadline, and the reply
 /// channel.
 struct Request {
@@ -237,7 +144,7 @@ struct TierShared {
     config: TierConfig,
     queue: Mutex<VecDeque<Request>>,
     available: Condvar,
-    model: EpochCell<ServingModel>,
+    model: EpochCell<ServingHandle<'static>>,
     shutdown: AtomicBool,
     submitted: AtomicUsize,
     answered: AtomicUsize,
@@ -303,15 +210,15 @@ impl std::fmt::Debug for ServingTier {
 }
 
 impl ServingTier {
-    /// Spawn the worker pool and start serving `model` — a single prepared
-    /// handle or a sharded one, via `Into<ServingModel>`.
-    pub fn new(model: impl Into<ServingModel>, config: TierConfig) -> ServingTier {
+    /// Spawn the worker pool and start serving `model`, a prepared handle
+    /// over one engine or over every shard of a router.
+    pub fn new(model: impl Into<Arc<ServingHandle<'static>>>, config: TierConfig) -> ServingTier {
         let workers = config.workers.max(1);
         let shared = Arc::new(TierShared {
             config,
             queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
-            model: EpochCell::new(Arc::new(model.into())),
+            model: EpochCell::new(model.into()),
             shutdown: AtomicBool::new(false),
             submitted: AtomicUsize::new(0),
             answered: AtomicUsize::new(0),
@@ -334,9 +241,9 @@ impl ServingTier {
     }
 
     /// Submit one lookup under the config's default deadline. Admission
-    /// control runs here: past the shed watermark (or hard capacity) the
-    /// request is refused immediately with [`TierError::Shed`] — refusing
-    /// fast is the mechanism that keeps admitted requests' latency bounded.
+    /// control runs here: at the shed watermark the request is refused
+    /// immediately with [`TierError::Shed`] — refusing fast is the mechanism
+    /// that keeps admitted requests' latency bounded.
     pub fn submit(&self, key: Vec<Value>) -> Result<PendingLookup, TierError> {
         self.submit_deadline(key, self.shared.config.default_deadline)
     }
@@ -357,9 +264,7 @@ impl ServingTier {
         {
             let mut queue = lock_recover(&self.shared.queue);
             let depth = queue.len();
-            if depth >= self.shared.config.shed_watermark
-                || depth >= self.shared.config.queue_capacity
-            {
+            if depth >= self.shared.config.shed_watermark {
                 self.shared.shed.fetch_add(1, Ordering::Relaxed);
                 return Err(TierError::Shed { depth });
             }
@@ -391,12 +296,12 @@ impl ServingTier {
     /// to the old model finish against it, every later batch serves the new
     /// one, and no warm lookup blocks on the swap. Returns the new
     /// generation.
-    pub fn install(&self, model: impl Into<ServingModel>) -> u64 {
-        self.shared.model.swap(Arc::new(model.into()))
+    pub fn install(&self, model: impl Into<Arc<ServingHandle<'static>>>) -> u64 {
+        self.shared.model.swap(model.into())
     }
 
     /// Pin the currently-served model.
-    pub fn model(&self) -> Arc<ServingModel> {
+    pub fn model(&self) -> Arc<ServingHandle<'static>> {
         self.shared.model.load()
     }
 
@@ -472,7 +377,7 @@ fn worker_loop(shared: &TierShared) {
 /// preempts it mid-kernel — surfacing as [`EngineError::Cancelled`], which
 /// degrades exactly like a deadline observed at a batch boundary (and is
 /// additionally counted in [`TierStats::cancelled`]).
-fn answer(shared: &TierShared, model: &ServingModel, request: Request) {
+fn answer(shared: &TierShared, model: &ServingHandle<'static>, request: Request) {
     let expired = |deadline: Option<Instant>| deadline.is_some_and(|d| Instant::now() > d);
     let result = if expired(request.deadline) {
         past_deadline(shared, model)
@@ -480,11 +385,9 @@ fn answer(shared: &TierShared, model: &ServingModel, request: Request) {
         let cancel = request.deadline.map(CancelToken::with_deadline);
         let mut out = Vec::with_capacity(model.num_features());
         let lookup = catch_unwind(AssertUnwindSafe(|| {
-            match &cancel {
-                Some(token) => model.lookup_cancel(&request.key, &mut out, token),
-                None => model.lookup(&request.key, &mut out),
-            }
-            .map(|()| out)
+            model
+                .lookup_with(&request.key, &mut out, cancel.as_ref())
+                .map(|()| out)
         }));
         match lookup {
             Ok(Ok(_)) if expired(request.deadline) => past_deadline(shared, model),
@@ -510,7 +413,10 @@ fn answer(shared: &TierShared, model: &ServingModel, request: Request) {
 
 /// The deadline-fired outcome: the documented unseen-key row (every feature
 /// NULL) under graceful degradation, a typed error otherwise.
-fn past_deadline(shared: &TierShared, model: &ServingModel) -> Result<Vec<Option<f64>>, TierError> {
+fn past_deadline(
+    shared: &TierShared,
+    model: &ServingHandle<'static>,
+) -> Result<Vec<Option<f64>>, TierError> {
     shared.degraded.fetch_add(1, Ordering::Relaxed);
     if shared.config.degrade_on_deadline {
         Ok(vec![None; model.num_features()])
@@ -593,7 +499,7 @@ mod tests {
 
     #[test]
     fn sharded_model_serves_through_the_tier_unchanged() {
-        use crate::serving::shard::{ShardRouter, ShardedServingHandle};
+        use crate::serving::shard::ShardRouter;
         let mut train = Table::new("users");
         train
             .add_column("uid", Column::from_i64s(&[1, 2, 3]))
@@ -619,7 +525,7 @@ mod tests {
             }],
         );
         let router = ShardRouter::build_for_plan(Arc::new(train), &relevant, &plan, 3).unwrap();
-        let sharded = ShardedServingHandle::prepare(&router, &plan).unwrap();
+        let sharded = router.prepare(&plan).unwrap();
         let tier = ServingTier::new(sharded, TierConfig::default());
         assert_eq!(tier.lookup(&[Value::Int(1)]).unwrap(), vec![Some(30.0)]);
         assert_eq!(tier.lookup(&[Value::Int(2)]).unwrap(), vec![Some(70.0)]);
@@ -628,8 +534,8 @@ mod tests {
         assert_eq!(tier.lookup(&[Value::Int(99)]).unwrap(), vec![None]);
         assert_eq!(tier.model().num_features(), 1);
         assert_eq!(tier.model().key_columns(), ["uid".to_string()]);
-        // Live ingestion needs no tier swap: each shard handle follows its
-        // shard's epochs by itself.
+        // Live ingestion needs no tier swap: each shard's prepared state
+        // follows that shard's epochs by itself.
         let mut batch = Table::new("logs");
         batch.add_column("uid", Column::from_i64s(&[1, 9])).unwrap();
         batch
@@ -697,7 +603,6 @@ mod tests {
             handle(1.0),
             TierConfig {
                 workers: 1,
-                queue_capacity: 2,
                 shed_watermark: 1,
                 max_batch: 1,
                 ..TierConfig::default()

@@ -422,7 +422,6 @@ fn overload_sheds_at_admission_and_admitted_requests_survive() {
         std::sync::Arc::clone(&handle),
         TierConfig {
             workers: 1,
-            queue_capacity: 4,
             shed_watermark: 2,
             max_batch: 1,
             ..TierConfig::default()
@@ -804,8 +803,7 @@ fn shard_route_panic_fails_only_owned_requests() {
     let plan = plan_from(&ds, &pool);
     let router =
         feataug::ShardRouter::build_for_plan(task.train.clone(), &ds.relevant, &plan, 3).unwrap();
-    let handle =
-        std::sync::Arc::new(feataug::ShardedServingHandle::prepare(&router, &plan).unwrap());
+    let handle = std::sync::Arc::new(router.prepare(&plan).unwrap());
 
     // Keys spanning every shard; warm reference answers before arming.
     let keys: Vec<Vec<Value>> = (0..task.train.num_rows().min(12))
@@ -921,8 +919,7 @@ fn shard_append_panic_aborts_batch_and_retry_succeeds() {
     let want = unsharded.transform(&pool, &ds.train).unwrap();
 
     let router = feataug::ShardRouter::build_for_plan(task.train.clone(), &base, &plan, 3).unwrap();
-    let handle =
-        std::sync::Arc::new(feataug::ShardedServingHandle::prepare(&router, &plan).unwrap());
+    let handle = std::sync::Arc::new(router.prepare(&plan).unwrap());
     let key: Vec<Value> = task
         .key_columns
         .iter()

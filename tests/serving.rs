@@ -12,7 +12,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use rand::SeedableRng;
 
-use feataug::multi::{fit_multi_owned, MultiAugModel, MultiAugTask, RelevantSource};
+use feataug::multi::{fit_multi, MultiAugModel, MultiAugTask, RelevantSource};
 use feataug::pipeline::AugModel;
 use feataug::{
     AugPlan, FeatAug, FeatAugConfig, PlannedQuery, QueryCodec, QueryEngine, QueryTemplate,
@@ -84,6 +84,7 @@ proptest! {
         )
         .expect("plan compiles");
         let handle = model.prepare().unwrap();
+        prop_assert_eq!(handle.n_shards(), 1);
         prop_assert_eq!(handle.feature_names(), feature_names.as_slice());
         prop_assert_eq!(handle.key_columns(), task.key_columns.as_slice());
 
@@ -351,7 +352,7 @@ fn concurrent_serving_is_bit_identical_to_serial() {
     });
 }
 
-/// `fit_owned` end to end: the owned model keeps the fit's compiled work,
+/// `fit` end to end: the owned model keeps the fit's compiled work,
 /// crosses a thread boundary, and its prepared handle serves the fitted
 /// plan's features — no task tables held anywhere.
 #[test]
@@ -362,7 +363,7 @@ fn fit_owned_model_serves_from_another_thread() {
     )
     .unwrap();
     let task = to_aug_task(&ds);
-    let model = FeatAug::new(tiny_cfg(7)).fit_owned(&task).unwrap();
+    let model = FeatAug::new(tiny_cfg(7)).fit(&task).unwrap();
     assert!(!model.plan().is_empty(), "the tiny fit must select queries");
     let evaluations_after_fit = model.engine_stats().evaluations;
     assert!(
@@ -395,7 +396,7 @@ fn fit_owned_model_serves_from_another_thread() {
     );
 }
 
-/// `fit_multi_owned` needs no caller-held `sub_tasks` vector: the models
+/// `fit_multi` needs no caller-held `sub_tasks` vector: the models
 /// stand alone, transform the union onto any table, and survive a thread
 /// hop.
 #[test]
@@ -447,7 +448,7 @@ fn fit_multi_owned_stands_alone() {
             vec!["user_id".into()],
         ));
 
-    let model = fit_multi_owned(&tiny_cfg(3), &task).unwrap();
+    let model = fit_multi(&tiny_cfg(3), &task.sub_tasks()).unwrap();
     assert_eq!(model.models().len(), 2);
     let on_train = model.transform(&train).unwrap();
     assert!(on_train.num_columns() > train.num_columns());

@@ -1,8 +1,8 @@
 //! The acceptance gate of the prepared serving path:
-//! `ServingHandle::lookup` — and the sharded router's
-//! `ShardedServingHandle::lookup` in front of it — perform **zero heap
-//! allocations** on the warm path, and therefore zero `Debug`/SQL rendering
-//! and zero `Value` clones, all of which allocate.
+//! `ServingHandle::lookup` — over one engine, and over a sharded router's
+//! shards with the routing hash in front of the probe — performs **zero
+//! heap allocations** on the warm path, and therefore zero `Debug`/SQL
+//! rendering and zero `Value` clones, all of which allocate.
 //!
 //! Enforced with a counting global allocator. This file is its own test
 //! binary so no unrelated suite shares the allocator, and both the counter
@@ -15,7 +15,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use feataug::pipeline::AugModel;
-use feataug::{AugPlan, PlannedQuery, PredicateQuery, ShardRouter, ShardedServingHandle};
+use feataug::{AugPlan, PlannedQuery, PredicateQuery, ShardRouter};
 use feataug_tabular::{AggFunc, Column, Predicate, Table, Value};
 
 thread_local! {
@@ -170,9 +170,10 @@ fn warm_prepared_lookup_is_allocation_free() {
 
 #[test]
 fn warm_sharded_lookup_is_allocation_free() {
-    // The sharded front door adds a routing hash plus a shard-handle probe to
-    // every request; both are `// lint: hot-path` fns in serving/shard.rs and
-    // this test is the runtime half of that promise. Every query groups by
+    // A sharded handle adds a routing hash in front of the owning shard's
+    // probe; both route functions (serving.rs, serving/shard.rs) are
+    // `// lint: hot-path` fns and this test is the runtime half of that
+    // promise. Every query groups by
     // `cname` so the router shards on it (three shards — keys "a" and "b"
     // genuinely land on different engines, so the loop below crosses shards).
     let (train, relevant) = fixture();
@@ -187,7 +188,7 @@ fn warm_sharded_lookup_is_allocation_free() {
     );
     let router =
         ShardRouter::build_for_plan(Arc::new(train), &relevant, &plan, 3).expect("router builds");
-    let handle = ShardedServingHandle::prepare(&router, &plan).expect("prepare");
+    let handle = router.prepare(&plan).expect("prepare");
 
     // Seen keys on different shards, unseen, NULL-component and
     // type-mismatched keys — routing a miss must not allocate either.
@@ -221,7 +222,7 @@ fn warm_sharded_lookup_is_allocation_free() {
     });
     assert_eq!(
         allocations, 0,
-        "ShardedServingHandle::lookup allocated on the warm path"
+        "sharded ServingHandle::lookup allocated on the warm path"
     );
 
     // Answers after the counted run are still right, misses included.

@@ -11,8 +11,9 @@
 //! * `lookup` for every training key, plus unseen and NULL adversaries
 //!   (which must answer NULL on every shard count, exactly like the
 //!   unsharded engine);
-//! * serve through a prepared [`ShardedServingHandle`] against the unsharded
-//!   `AugModel::serve` reference path;
+//! * serve through a [`feataug::ServingHandle`] prepared over the router's
+//!   shards against the unsharded `AugModel::serve` reference path, point
+//!   lookups and batches alike;
 //! * `append_relevant` — the router splits the batch by the routing hash and
 //!   publishes per-shard epochs; post-append answers must match the
 //!   unsharded engine after the same batch (which existing suites pin to a
@@ -27,7 +28,6 @@ use rand::SeedableRng;
 use feataug::pipeline::AugModel;
 use feataug::{
     AugPlan, PlannedQuery, PredicateQuery, QueryCodec, QueryEngine, QueryTemplate, ShardRouter,
-    ShardedServingHandle,
 };
 use feataug_datagen::GenConfig;
 use feataug_repro::to_aug_task;
@@ -206,10 +206,11 @@ proptest! {
         }
     }
 
-    /// Serve conformance: a prepared [`ShardedServingHandle`] answers every
-    /// key with exactly the bits the unsharded `AugModel::serve` reference
-    /// path produces — before *and* after a live append (each shard's handle
-    /// follows its shard's epochs by itself; no swap anywhere).
+    /// Serve conformance: a handle prepared over the router's shards answers
+    /// every key with exactly the bits the unsharded `AugModel::serve`
+    /// reference path produces — before *and* after a live append (each
+    /// shard's state follows its shard's epochs by itself; no swap
+    /// anywhere) — and its batch lookups match its serial ones.
     #[test]
     fn sharded_serve_is_bit_identical_to_unsharded(
         seed in 0u64..10_000,
@@ -255,16 +256,23 @@ proptest! {
                 n_shards,
             )
             .unwrap();
-            let handle = ShardedServingHandle::prepare(&router, &plan).unwrap();
+            let handle = router.prepare(&plan).unwrap();
             prop_assert_eq!(handle.n_shards(), n_shards);
             prop_assert_eq!(handle.feature_names(), plan.feature_names().as_slice());
             prop_assert_eq!(handle.key_columns(), plan.key_columns.as_slice());
 
             let mut out = Vec::with_capacity(handle.num_features());
+            let mut serial = Vec::with_capacity(keys.len());
             for key in &keys {
                 let want = model.serve(key).unwrap();
                 handle.lookup(key, &mut out).unwrap();
                 prop_assert_eq!(bits(&want), bits(&out), "serve, n_shards={}", n_shards);
+                serial.push(out.clone());
+            }
+            let batch_rows = handle.lookup_batch(&keys).unwrap();
+            prop_assert_eq!(batch_rows.len(), serial.len());
+            for (got, want) in batch_rows.iter().zip(&serial) {
+                prop_assert_eq!(bits(got), bits(want), "lookup_batch, n_shards={}", n_shards);
             }
 
             // Live append: both sides ingest the same batch; the handles
@@ -272,6 +280,15 @@ proptest! {
             if batch.num_rows() > 0 {
                 model.append_relevant(&batch).unwrap();
                 router.append_relevant(&batch).unwrap();
+                // A batch is the first request after the append: it pins
+                // each shard's new epoch for all of its keys.
+                let batch_rows = handle.lookup_batch(&keys).unwrap();
+                for (key, got) in keys.iter().zip(&batch_rows) {
+                    prop_assert_eq!(
+                        bits(&model.serve(key).unwrap()), bits(got),
+                        "post-append lookup_batch, n_shards={}", n_shards
+                    );
+                }
                 for key in &keys {
                     let want = model.serve(key).unwrap();
                     handle.lookup(key, &mut out).unwrap();
