@@ -33,9 +33,12 @@ fn bench_proxy(c: &mut Criterion) {
     }
 
     // The real oracle the proxies stand in for: one downstream-model evaluation.
+    // `result_with_features` trains on every call; `loss_with_feature` would answer
+    // every iteration after the first from its loss memo.
     let evaluator = FeatureEvaluator::new(&ds.task, ModelKind::Linear, 3);
+    let candidate = [("candidate".to_string(), feature)];
     c.bench_function("proxy/full_model_evaluation_LR", |b| {
-        b.iter(|| black_box(evaluator.loss_with_feature("candidate", &feature)))
+        b.iter(|| black_box(evaluator.result_with_features(&candidate).loss))
     });
 }
 

@@ -47,10 +47,11 @@ fn bench_generation(c: &mut Criterion) {
         })
     });
 
-    let evaluator = FeatureEvaluator::new(task, ModelKind::Linear, 3);
-
+    // Each run gets a fresh evaluator, as each fit does: a shared one would answer every
+    // run after the first from its loss memo.
     c.bench_function("generation/warmup_plus_search_fast", |b| {
         b.iter(|| {
+            let evaluator = FeatureEvaluator::new(task, ModelKind::Linear, 3);
             let mut cfg = SqlGenConfig::fast();
             cfg.warmup_iters = 10;
             cfg.warmup_top_k = 3;
@@ -62,6 +63,7 @@ fn bench_generation(c: &mut Criterion) {
 
     c.bench_function("generation/no_warmup_search_fast", |b| {
         b.iter(|| {
+            let evaluator = FeatureEvaluator::new(task, ModelKind::Linear, 3);
             let mut cfg = SqlGenConfig::fast();
             cfg.enable_warmup = false;
             cfg.warmup_top_k = 3;

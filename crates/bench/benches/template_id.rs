@@ -22,10 +22,12 @@ fn bench_template_id(c: &mut Criterion) {
         },
     );
     let task = &ds.task;
-    let evaluator = FeatureEvaluator::new(task, ModelKind::Linear, 3);
     let agg_funcs = vec![AggFunc::Sum, AggFunc::Avg, AggFunc::Count];
 
+    // A fresh evaluator per run, as per fit: a shared one would answer the real-model
+    // variant's every run after the first from its loss memo.
     let run = |use_proxy: bool, use_predictor: bool| {
+        let evaluator = FeatureEvaluator::new(task, ModelKind::Linear, 3);
         let cfg = TemplateIdConfig {
             use_proxy,
             use_predictor,

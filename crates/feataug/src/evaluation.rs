@@ -8,13 +8,35 @@
 //!   candidate feature vectors against it (used inside the search loop),
 //! * [`evaluate_table`] scores an entire augmented table on a train/valid/test protocol (used to
 //!   report the final numbers of the experiment tables).
+//!
+//! ## Loss memo
+//!
+//! Distinct queries often produce bit-identical feature vectors (`quantity <= 2.8` and
+//! `quantity BETWEEN 1 AND 2.7` over an integer column), and TPE resamples configurations
+//! that decode to a query it already scored. Training is deterministic and never reads the
+//! column's name, so a vector's loss is fixed by its bits alone. [`FeatureEvaluator`]
+//! therefore memoises [`FeatureEvaluator::loss_with_feature`]: the key is a 64-bit hash of the
+//! vector's `f64` bits, every hit is confirmed by bitwise equality (so `0.0` and `-0.0`, or
+//! two NaN payloads, are different keys), and a hit returns the stored loss without training.
+//! Each entry trains through its own `OnceLock`, outside the memo's lock, so concurrent
+//! callers with the same new vector train it once and the others wait for that loss. The memo
+//! lives as long as the evaluator — one `fit` covers QTI, warm-up and search of every
+//! template — and [`FeatureEvaluator::trainings`] / [`FeatureEvaluator::memo_hits`] count the
+//! trainings run and avoided. [`FeatureEvaluator::result_with_features`] (several features at
+//! once, used by the baselines) always trains.
 
-use std::sync::OnceLock;
+use std::borrow::Cow;
+use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
+use std::hash::Hasher;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use feataug_ml::{evaluate, Dataset, EvalResult, ModelKind, Task};
 use feataug_tabular::Table;
 
 use crate::encoding::table_to_dataset;
+use crate::exec::lock_recover;
 use crate::problem::AugTask;
 
 /// Default train/valid/test fractions (paper Section VII-A6: 0.6 / 0.2 / 0.2).
@@ -22,6 +44,8 @@ pub const SPLIT: (f64, f64) = (0.6, 0.2);
 
 /// Scores candidate features by training the downstream model on
 /// (base features + the candidate) and reading the validation metric.
+///
+/// Clones share the loss memo and its counters.
 #[derive(Debug, Clone)]
 pub struct FeatureEvaluator {
     base: Dataset,
@@ -32,6 +56,54 @@ pub struct FeatureEvaluator {
     /// that fails to materialise — without memoization each such candidate
     /// would retrain the downstream model from scratch.
     base_loss: OnceLock<f64>,
+    memo: Arc<LossMemo>,
+}
+
+/// The loss memo behind [`FeatureEvaluator::loss_with_feature`], and the
+/// evaluator's training counters.
+#[derive(Debug, Default)]
+struct LossMemo {
+    /// Entries by the 64-bit hash of their vector's bits; a bucket holds every
+    /// distinct vector with that hash.
+    entries: Mutex<HashMap<u64, Vec<Arc<MemoEntry>>>>,
+    trainings: AtomicUsize,
+    hits: AtomicUsize,
+}
+
+/// One memoised candidate vector and, once trained, its validation loss.
+#[derive(Debug)]
+struct MemoEntry {
+    values: Vec<f64>,
+    loss: OnceLock<f64>,
+}
+
+impl LossMemo {
+    /// The entry for `values`, inserted untrained when the memo has none.
+    fn entry(&self, values: &[f64]) -> Arc<MemoEntry> {
+        let mut hasher = DefaultHasher::new();
+        hasher.write_usize(values.len());
+        for v in values {
+            hasher.write_u64(v.to_bits());
+        }
+        let mut entries = lock_recover(&self.entries);
+        let bucket = entries.entry(hasher.finish()).or_default();
+        let same_bits = |e: &&Arc<MemoEntry>| {
+            e.values.len() == values.len()
+                && e.values
+                    .iter()
+                    .zip(values)
+                    .all(|(a, b)| a.to_bits() == b.to_bits())
+        };
+        if let Some(entry) = bucket.iter().find(same_bits) {
+            return Arc::clone(entry);
+        }
+        let entry = Arc::new(MemoEntry {
+            values: values.to_vec(),
+            loss: OnceLock::new(),
+        });
+        bucket.push(Arc::clone(&entry));
+        entry
+    }
 }
 
 impl FeatureEvaluator {
@@ -48,6 +120,7 @@ impl FeatureEvaluator {
             model,
             seed,
             base_loss: OnceLock::new(),
+            memo: Arc::default(),
         }
     }
 
@@ -65,32 +138,61 @@ impl FeatureEvaluator {
     /// Trained once and memoized: the base table and split are fixed, so every
     /// later call returns the cached value.
     pub fn base_loss(&self) -> f64 {
-        *self.base_loss.get_or_init(|| {
-            let (train, valid) = self.base.split2(SPLIT.0 + SPLIT.1, self.seed);
-            evaluate(self.model, &train, &valid).loss
-        })
+        *self.base_loss.get_or_init(|| self.train(&self.base).loss)
     }
 
     /// Validation loss after appending one candidate feature vector (aligned with the training
     /// table's rows). Lower is better.
+    ///
+    /// Memoised by the vector's bits (see the module docs): a vector this evaluator already
+    /// scored, under any name, returns its stored loss without training.
     pub fn loss_with_feature(&self, name: &str, values: &[f64]) -> f64 {
-        self.result_with_features(&[(name.to_string(), values.to_vec())])
-            .loss
+        let entry = self.memo.entry(values);
+        let mut trained = false;
+        let loss = *entry.loss.get_or_init(|| {
+            trained = true;
+            self.train(&self.base.with_feature(name, values)).loss
+        });
+        if !trained {
+            self.memo.hits.fetch_add(1, Ordering::Relaxed);
+        }
+        loss
     }
 
-    /// Validation result after appending several candidate features.
+    /// Validation result after appending several candidate features. Not memoised: every call
+    /// trains.
     pub fn result_with_features(&self, features: &[(String, Vec<f64>)]) -> EvalResult {
-        let mut data = self.base.clone();
+        let mut data = Cow::Borrowed(&self.base);
         for (name, values) in features {
-            data = data.with_feature(name.clone(), values);
+            data = Cow::Owned(data.with_feature(name.as_str(), values));
         }
-        let (train, valid) = data.split2(SPLIT.0 + SPLIT.1, self.seed);
-        evaluate(self.model, &train, &valid)
+        self.train(&data)
+    }
+
+    /// Downstream-model trainings this evaluator has run: the base table's, each
+    /// [`FeatureEvaluator::loss_with_feature`] memo miss, and each
+    /// [`FeatureEvaluator::result_with_features`] call.
+    pub fn trainings(&self) -> usize {
+        self.memo.trainings.load(Ordering::Relaxed)
+    }
+
+    /// [`FeatureEvaluator::loss_with_feature`] calls answered from the loss memo, each one a
+    /// training avoided.
+    pub fn memo_hits(&self) -> usize {
+        self.memo.hits.load(Ordering::Relaxed)
     }
 
     /// The learning task being evaluated.
     pub fn task(&self) -> Task {
         self.base.task
+    }
+
+    /// Split `data` with the evaluator's seed, train on the train split and score the
+    /// validation split.
+    fn train(&self, data: &Dataset) -> EvalResult {
+        self.memo.trainings.fetch_add(1, Ordering::Relaxed);
+        let (train, valid) = data.split2(SPLIT.0 + SPLIT.1, self.seed);
+        evaluate(self.model, &train, &valid)
     }
 }
 
@@ -176,8 +278,104 @@ mod tests {
         // Repeated calls (generate()'s phase 2 makes one per failed candidate)
         // read the memo instead of retraining.
         assert_eq!(evaluator.base_loss().to_bits(), first.to_bits());
+        assert_eq!(evaluator.trainings(), 1);
         // Clones carry the memo with them.
         assert_eq!(evaluator.clone().base_loss.get().copied(), Some(first));
+    }
+
+    /// The memo returns exactly what a training returns, for every model kind: a new vector,
+    /// a mostly-NaN one, `0.0` against `-0.0` (different bits, so different keys), and each
+    /// of them again under another name.
+    #[test]
+    fn memoised_loss_is_bit_identical_to_a_training() {
+        let t = task();
+        let labels = t.labels().unwrap();
+        let informative: Vec<f64> = labels
+            .iter()
+            .enumerate()
+            .map(|(i, &y)| y * 3.0 + (i % 7) as f64 * 0.1)
+            .collect();
+        let mostly_nan: Vec<f64> = labels
+            .iter()
+            .enumerate()
+            .map(|(i, &y)| if i % 10 == 0 { y } else { f64::NAN })
+            .collect();
+        let signed_zero = |zero: f64| -> Vec<f64> {
+            labels
+                .iter()
+                .map(|&y| if y > 0.5 { 1.0 } else { zero })
+                .collect()
+        };
+        let cases = [
+            ("informative", informative),
+            ("mostly_nan", mostly_nan),
+            ("positive_zero", signed_zero(0.0)),
+            ("negative_zero", signed_zero(-0.0)),
+        ];
+        for &kind in ModelKind::all() {
+            let oracle = FeatureEvaluator::new(&t, kind, 3);
+            let expected: Vec<u64> = cases
+                .iter()
+                .map(|(name, values)| {
+                    oracle
+                        .result_with_features(&[(name.to_string(), values.clone())])
+                        .loss
+                        .to_bits()
+                })
+                .collect();
+            assert_eq!(oracle.trainings(), cases.len());
+            assert_eq!(
+                oracle.memo_hits(),
+                0,
+                "result_with_features is not memoised"
+            );
+
+            let evaluator = FeatureEvaluator::new(&t, kind, 3);
+            for (i, ((name, values), bits)) in cases.iter().zip(&expected).enumerate() {
+                let loss = evaluator.loss_with_feature(name, values);
+                assert_eq!(loss.to_bits(), *bits, "{kind:?} {name}");
+                assert_eq!(
+                    evaluator.trainings(),
+                    i + 1,
+                    "{kind:?}: {name} is a new key"
+                );
+            }
+            for ((name, values), bits) in cases.iter().zip(&expected) {
+                let loss = evaluator.loss_with_feature(&format!("{name}_renamed"), values);
+                assert_eq!(loss.to_bits(), *bits, "{kind:?} {name} renamed");
+            }
+            assert_eq!(evaluator.trainings(), cases.len(), "{kind:?}");
+            assert_eq!(evaluator.memo_hits(), cases.len(), "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn concurrent_callers_with_one_new_vector_train_it_once() {
+        const CALLERS: usize = 4;
+        let t = task();
+        let evaluator = FeatureEvaluator::new(&t, ModelKind::Linear, 3);
+        let values: Vec<f64> = t.labels().unwrap().iter().map(|&y| y + 0.5).collect();
+        let barrier = std::sync::Barrier::new(CALLERS);
+        let losses: Vec<u64> = std::thread::scope(|s| {
+            let callers: Vec<_> = (0..CALLERS)
+                .map(|i| {
+                    let (evaluator, values, barrier) = (&evaluator, &values, &barrier);
+                    s.spawn(move || {
+                        barrier.wait();
+                        evaluator
+                            .loss_with_feature(&format!("caller_{i}"), values)
+                            .to_bits()
+                    })
+                })
+                .collect();
+            callers
+                .into_iter()
+                .map(|c| c.join().expect("caller thread"))
+                .collect()
+        });
+        assert!(losses.windows(2).all(|w| w[0] == w[1]), "{losses:?}");
+        assert_eq!(evaluator.trainings(), 1);
+        assert_eq!(evaluator.memo_hits(), CALLERS - 1);
     }
 
     #[test]

@@ -20,12 +20,18 @@
 //! group indexes, gather maps, column views and feature LRU the Query Template Identification
 //! component already compiled for the same `(train, relevant)` pair (the pipeline wires this
 //! up). The engine's evaluation-level cache also absorbs TPE's near-duplicate resamples: a
-//! config that decodes to an already-evaluated query skips the whole materialisation.
+//! config that decodes to an already-evaluated query skips the whole materialisation. The
+//! [`FeatureEvaluator`]'s loss memo then skips the training too: a feature vector the
+//! evaluator already scored, from this template or another, returns its stored loss.
+//!
+//! [`crate::FeatAug::fit`] searches its templates concurrently, each through its own
+//! `generate` call on one shared generator. The searches share the engine's caches and the
+//! evaluator's memo, both exact, and the pipeline merges their results in template order, so
+//! the selection does not depend on the worker count.
 //!
 //! The warm-up's top-k selection deduplicates by feature name before ranking: TPE routinely
 //! resamples configs that decode to the same query, and without the dedup each duplicate would
-//! burn one real-model training of the `warmup_top_k` budget while crowding a distinct seed out
-//! of the warm start.
+//! take one of the `warmup_top_k` slots, crowding a distinct seed out of the warm start.
 
 use std::time::{Duration, Instant};
 
@@ -296,9 +302,9 @@ type ProxyTrial = (Config, f64, PredicateQuery, String, Vec<f64>);
 ///
 /// TPE resamples configurations, and distinct configurations can decode to the same query, so
 /// `trials` routinely holds several entries with one feature name. A plain
-/// `sort + truncate(k)` would spend one real-model training of the warm-start budget on every
-/// duplicate — and crowd a distinct seed out of the top-k — for zero extra information, since
-/// the duplicate's feature (and therefore its real loss) is identical.
+/// `sort + truncate(k)` would spend a slot of the warm-start budget on every duplicate — and
+/// crowd a distinct seed out of the top-k — for zero extra information, since the duplicate's
+/// feature (and therefore its real loss) is identical.
 fn warmup_top_k(mut trials: Vec<ProxyTrial>, k: usize) -> Vec<ProxyTrial> {
     trials.sort_by(|a, b| a.1.total_cmp(&b.1));
     let mut out: Vec<ProxyTrial> = Vec::with_capacity(k.min(trials.len()));

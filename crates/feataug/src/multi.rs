@@ -265,9 +265,7 @@ pub fn augment_multi(cfg: &FeatAugConfig, task: &MultiAugTask) -> MultiAugResult
     for i in 0..task.sources.len() {
         let sub = task.sub_task(i);
         let result = FeatAug::new(cfg.clone()).augment(&sub);
-        timing.qti += result.timing.qti;
-        timing.warmup += result.timing.warmup;
-        timing.generate += result.timing.generate;
+        timing.add(&result.timing);
 
         for name in &result.feature_names {
             if let Ok(col) = result.augmented_train.column(name) {

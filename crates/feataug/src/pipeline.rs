@@ -33,7 +33,16 @@
 //! built — and the transform/serve paths keep reusing them after the fit.
 //! [`FeatAugResult::engine_stats`] exposes the cross-component cache reuse;
 //! batch evaluation inside the engine fans candidate pools across a
-//! [`std::thread::scope`]-based worker pool (see [`crate::exec`]).
+//! [`std::thread::scope`]-based worker pool (see [`crate::exec`]). One
+//! [`FeatureEvaluator`] likewise scores every candidate of a fit, so its loss
+//! memo trains each distinct feature vector once across QTI and all templates
+//! ([`PipelineTiming::trainings`] / [`PipelineTiming::memo_hits`]).
+//!
+//! The templates' searches are independent, so `fit` runs them concurrently
+//! through the same worker pool, at [`crate::exec::default_workers`]
+//! (`FEATAUG_THREADS=1` searches them one after another), and merges their
+//! results in template order. The fitted plan does not depend on the worker
+//! count.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -43,7 +52,9 @@ use feataug_ml::ModelKind;
 use feataug_tabular::{AggFunc, Column, Table, Value};
 
 use crate::evaluation::FeatureEvaluator;
-use crate::exec::{workers_for_pool, EngineResult, EngineStats, QueryEngine, TableHandle};
+use crate::exec::{
+    default_workers, fan_out, workers_for_pool, EngineResult, EngineStats, QueryEngine, TableHandle,
+};
 use crate::generation::{GeneratedQuery, QueryGenerator, SqlGenConfig};
 use crate::problem::{AugTask, AugTaskError};
 use crate::proxy::LowCostProxy;
@@ -149,21 +160,38 @@ impl FeatAugConfig {
     }
 }
 
-/// Wall-clock breakdown of one pipeline run (the three series of the paper's Figures 7–9).
+/// Cost breakdown of one pipeline run: the three time series of the paper's Figures 7–9, and
+/// the downstream-model trainings the search ran and avoided.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PipelineTiming {
     /// Query Template Identification time.
     pub qti: Duration,
-    /// Warm-up time summed over all templates.
+    /// Warm-up time summed over all templates. Templates are searched concurrently, so this
+    /// busy time can exceed the wall time the warm-ups took.
     pub warmup: Duration,
-    /// Query-generation time summed over all templates.
+    /// Query-generation time summed over all templates; busy time, like
+    /// [`PipelineTiming::warmup`].
     pub generate: Duration,
+    /// Downstream-model trainings the fit ran (see [`FeatureEvaluator::trainings`]).
+    pub trainings: usize,
+    /// Candidate scorings the loss memo answered without training (see
+    /// [`FeatureEvaluator::memo_hits`]).
+    pub memo_hits: usize,
 }
 
 impl PipelineTiming {
     /// Total time of the three phases.
     pub fn total(&self) -> Duration {
         self.qti + self.warmup + self.generate
+    }
+
+    /// Accumulate another run's breakdown into this one.
+    pub fn add(&mut self, other: &PipelineTiming) {
+        self.qti += other.qti;
+        self.warmup += other.warmup;
+        self.generate += other.generate;
+        self.trainings += other.trainings;
+        self.memo_hits += other.memo_hits;
     }
 }
 
@@ -531,6 +559,18 @@ impl FeatAug {
     /// `Send + Sync + 'static` [`OwnedAugModel`] shape with no table clone
     /// anywhere on the path.
     pub fn fit(&self, task: &AugTask) -> Result<OwnedAugModel, AugTaskError> {
+        self.fit_with_workers(task, default_workers())
+    }
+
+    /// [`FeatAug::fit`], searching the templates on up to `workers` threads.
+    /// The result does not depend on `workers`: every template's search is
+    /// independent, the evaluator's loss memo is exact, and the searches are
+    /// merged in template order.
+    pub(crate) fn fit_with_workers(
+        &self,
+        task: &AugTask,
+        workers: usize,
+    ) -> Result<OwnedAugModel, AugTaskError> {
         task.validate()?;
         let evaluator = FeatureEvaluator::new(task, self.cfg.model, self.cfg.seed);
         let mut timing = PipelineTiming::default();
@@ -585,15 +625,27 @@ impl FeatAug {
             self.cfg.queries_per_template,
         );
 
-        // Cross-template dedup by feature name: templates overlap (a deeper
-        // template's pool contains the shallower one's queries), and a repeat
-        // feature would silently fail to attach. Membership is a `HashSet`
-        // probe — the historical `queries.iter().any(...)` scan was O(n²)
-        // across the whole selection.
+        // The templates' searches are independent, so they run concurrently.
+        // A search that panics fails the fit: its queries are never dropped.
+        let searches = fan_out(
+            &templates,
+            workers,
+            "pipeline.generate",
+            || (),
+            |()| {},
+            |_, scored| Ok(generator.generate(&scored.template, per_template)),
+        );
+
+        // Cross-template dedup by feature name, in template order: templates
+        // overlap (a deeper template's pool contains the shallower one's
+        // queries), and a repeat feature would silently fail to attach.
+        // Membership is a `HashSet` probe — the historical
+        // `queries.iter().any(...)` scan was O(n²) across the whole selection.
         let mut queries: Vec<GeneratedQuery> = Vec::new();
         let mut seen_names: HashSet<String> = HashSet::new();
-        for scored in &templates {
-            let (generated, gen_timing) = generator.generate(&scored.template, per_template);
+        for search in searches {
+            let (generated, gen_timing) =
+                search.unwrap_or_else(|e| panic!("FeatAug::fit: template search failed: {e}"));
             timing.warmup += gen_timing.warmup;
             timing.generate += gen_timing.generate;
             for g in generated {
@@ -602,6 +654,8 @@ impl FeatAug {
                 }
             }
         }
+        timing.trainings = evaluator.trainings();
+        timing.memo_hits = evaluator.memo_hits();
 
         let plan = AugPlan::new(
             task.relevant.name(),
@@ -660,8 +714,9 @@ fn per_template_budget(enable_qti: bool, n_templates: usize, queries_per_templat
 mod tests {
     use super::*;
     use crate::evaluation::evaluate_table;
-    use feataug_datagen::{tmall, GenConfig};
+    use feataug_datagen::{instacart, tmall, GenConfig};
     use feataug_ml::Task;
+    use feataug_tabular::join::left_join_expand;
 
     fn tmall_task() -> AugTask {
         let ds = tmall::generate(&GenConfig {
@@ -853,6 +908,85 @@ mod tests {
         let via_augment = FeatAug::new(tiny_cfg(ModelKind::Linear)).augment(&task);
         assert_eq!(via_augment.feature_names, seed_names);
         assert_tables_bit_identical(&via_augment.augmented_train, &seed_table);
+    }
+
+    /// The two-hop `orders ⋈ order_items ⋈ products` view of the instacart schema, the
+    /// only view carrying both signal attributes.
+    fn instacart_view_task() -> AugTask {
+        let ds = instacart::generate_schema(&GenConfig::tiny());
+        let table = |name: &str| ds.table(name).expect("generated schema table");
+        let one_hop = left_join_expand(
+            table("orders"),
+            table("order_items"),
+            &["order_id"],
+            &["order_id"],
+        )
+        .unwrap();
+        let view = left_join_expand(
+            &one_hop,
+            table("products"),
+            &["product_id"],
+            &["product_id"],
+        )
+        .unwrap();
+        AugTask::new(
+            ds.train.clone(),
+            view,
+            ds.key_columns.clone(),
+            ds.label_column.clone(),
+            Task::BinaryClassification,
+        )
+        .with_agg_columns(vec!["price".into(), "cart_position".into()])
+        .with_predicate_attrs(vec!["department".into(), "order_hour".into()])
+    }
+
+    /// Templates are searched concurrently, yet the fit does not depend on the worker count:
+    /// plan text, loss bits, templates, training counts and `transform(train)` are identical
+    /// at 1, 2 and 4 workers.
+    #[test]
+    fn fit_is_identical_at_any_template_worker_count() {
+        for (task, model) in [
+            (tmall_task(), ModelKind::Linear),
+            (instacart_view_task(), ModelKind::GradientBoosting),
+        ] {
+            let feataug = FeatAug::new(tiny_cfg(model));
+            let fits: Vec<OwnedAugModel> = [1, 2, 4]
+                .into_iter()
+                .map(|workers| feataug.fit_with_workers(&task, workers).unwrap())
+                .collect();
+            let losses = |m: &OwnedAugModel| -> Vec<(String, u64)> {
+                m.queries()
+                    .iter()
+                    .map(|g| (g.feature_name.clone(), g.loss.to_bits()))
+                    .collect()
+            };
+            let templates = |m: &OwnedAugModel| -> Vec<(QueryTemplate, u64)> {
+                m.templates()
+                    .iter()
+                    .map(|t| (t.template.clone(), t.effectiveness.to_bits()))
+                    .collect()
+            };
+            let serial = &fits[0];
+            assert!(serial.templates().len() > 1, "{model:?}: one template");
+            assert!(!serial.queries().is_empty(), "{model:?}: no queries");
+            assert!(serial.timing().memo_hits > 0, "{model:?}: no repeat");
+            let serial_train = serial.transform(&task.train).unwrap();
+            for parallel in &fits[1..] {
+                assert_eq!(
+                    parallel.plan().to_plan_text(),
+                    serial.plan().to_plan_text(),
+                    "{model:?}"
+                );
+                assert_eq!(losses(parallel), losses(serial), "{model:?}");
+                assert_eq!(templates(parallel), templates(serial), "{model:?}");
+                assert_eq!(parallel.timing().trainings, serial.timing().trainings);
+                assert_eq!(parallel.timing().memo_hits, serial.timing().memo_hits);
+                assert_tables_bit_identical(
+                    &parallel.transform(&task.train).unwrap(),
+                    &serial_train,
+                );
+            }
+        }
     }
 
     #[test]

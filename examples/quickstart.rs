@@ -101,7 +101,11 @@ fn main() {
     }
     let timing = model.timing();
     println!(
-        "\ntiming: QTI {:?}, warm-up {:?}, generation {:?}",
+        "\ntiming: QTI {:?}, warm-up {:?}, generation {:?} (busy time summed over templates)",
         timing.qti, timing.warmup, timing.generate
+    );
+    println!(
+        "model trainings: {} run, {} answered from the loss memo",
+        timing.trainings, timing.memo_hits
     );
 }

@@ -22,10 +22,11 @@ use std::time::Duration;
 use feataug::failpoint::{self, Action};
 use feataug::pipeline::AugModel;
 use feataug::{
-    AugPlan, EngineError, PlannedQuery, PredicateQuery, QueryCodec, QueryEngine, QueryTemplate,
-    ServingTier, TierConfig, TierError,
+    AugPlan, EngineError, FeatAug, FeatAugConfig, PlannedQuery, PredicateQuery, QueryCodec,
+    QueryEngine, QueryTemplate, ServingTier, TierConfig, TierError,
 };
 use feataug_datagen::GenConfig;
+use feataug_ml::ModelKind;
 use feataug_repro::to_aug_task;
 use feataug_tabular::{AggFunc, Value};
 use rand::SeedableRng;
@@ -97,6 +98,47 @@ fn plan_from(ds: &feataug_datagen::SyntheticDataset, pool: &[PredicateQuery]) ->
 
 fn bits(values: &[Option<f64>]) -> Vec<Option<u64>> {
     values.iter().map(|v| v.map(f64::to_bits)).collect()
+}
+
+/// `FeatAug::fit` searches its templates concurrently, and a search that
+/// panics fails the whole fit: the fan-out contains the panic, and the fit
+/// raises it again rather than return a plan missing that template's queries.
+/// The kernel failpoint fails every evaluation; template identification
+/// contains its own and still returns templates, so the panic comes from the
+/// template searches.
+#[test]
+fn panicking_template_search_fails_the_fit() {
+    let _guard = ChaosGuard::acquire();
+    let task = to_aug_task(&dataset(43));
+    let mut cfg = FeatAugConfig::fast(ModelKind::Linear);
+    cfg.n_templates = 2;
+    cfg.template_id.n_templates = 2;
+    cfg.template_id.pool_samples = 4;
+    cfg.sqlgen.warmup_iters = 4;
+    cfg.sqlgen.warmup_top_k = 2;
+    cfg.sqlgen.search_iters = 2;
+
+    failpoint::set("exec.kernel", Action::Panic);
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        FeatAug::new(cfg.clone()).fit(&task)
+    }));
+    failpoint::reset();
+    let payload = match outcome {
+        Ok(fitted) => panic!("the fit swallowed its template searches' panics: {fitted:?}"),
+        Err(payload) => payload,
+    };
+    let message = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .unwrap_or_default();
+    assert!(
+        message.contains("template search failed") && message.contains("exec.kernel"),
+        "got: {message}"
+    );
+
+    // Disarmed, the same configuration fits.
+    let model = FeatAug::new(cfg).fit(&task).unwrap();
+    assert!(model.templates().len() > 1 && !model.queries().is_empty());
 }
 
 /// A kernel panic under 8-thread batch evaluation fails exactly the hit

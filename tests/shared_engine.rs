@@ -7,7 +7,7 @@ use feataug::baselines::{featuretools_augment_with_engine, random_augment_with_e
 use feataug::evaluation::FeatureEvaluator;
 use feataug::generation::{QueryGenerator, SqlGenConfig};
 use feataug::template_id::{TemplateIdConfig, TemplateIdentifier};
-use feataug::{FeatAug, FeatAugConfig, QueryEngine};
+use feataug::{FeatAug, FeatAugConfig, FeatAugResult, QueryEngine};
 use feataug_datagen::GenConfig;
 use feataug_featuretools::DfsConfig;
 use feataug_ml::ModelKind;
@@ -132,4 +132,8 @@ fn pipeline_result_is_deterministic_across_runs() {
         a.augmented_train.num_columns(),
         b.augmented_train.num_columns()
     );
+    assert_eq!(a.plan.to_plan_text(), b.plan.to_plan_text());
+    let loss_bits =
+        |r: &FeatAugResult| -> Vec<u64> { r.queries.iter().map(|g| g.loss.to_bits()).collect() };
+    assert_eq!(loss_bits(&a), loss_bits(&b));
 }
