@@ -90,7 +90,7 @@ fn bench_exec(c: &mut Criterion) {
     });
 
     // The whole pool at once through the scoped worker pool, fresh engine per
-    // iteration (compile + LRU-cold, like one beam-search node pays it). A
+    // iteration (compile + memo-cold, like one beam-search node pays it). A
     // second variant pins one worker to expose the fan-out overhead itself.
     let workers = feataug::default_workers();
     c.bench_function("exec/engine_batch_pool_default_workers", |b| {

@@ -62,10 +62,7 @@ fn dfs_candidates(
         .collect();
     let mut augmented = (*task.train).clone();
     let mut names = Vec::with_capacity(features.len());
-    for (feature, values) in features
-        .into_iter()
-        .zip(engine.evaluate_batch_shared(&queries))
-    {
+    for (feature, values) in features.into_iter().zip(engine.evaluate_batch(&queries)) {
         let values = values.expect("materialising DFS features");
         let column = Column::from_opt_f64s(&values);
         if augmented.add_column(feature.name.clone(), column).is_ok() {
@@ -211,7 +208,7 @@ pub fn random_augment_with_engine(
         let queries: Vec<PredicateQuery> = (0..queries_per_template)
             .map(|_| codec.decode(&codec.space().sample(&mut rng)))
             .collect();
-        for (query, values) in queries.iter().zip(engine.evaluate_batch_shared(&queries)) {
+        for (query, values) in queries.iter().zip(engine.evaluate_batch(&queries)) {
             if let Ok(values) = values {
                 // Non-finite aggregates count as missing, like the NULLs.
                 let values: Vec<Option<f64>> =

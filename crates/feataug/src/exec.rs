@@ -38,7 +38,7 @@
 //!   for its whole run, so parallel evaluations never contend on it.
 //!
 //! [`QueryEngine`] is [`Clone`]: clones are cheap handles onto the same
-//! shared core, feature cache and counters, which is how one engine per
+//! shared core, feature memo and counters, which is how one engine per
 //! `(train, relevant)` pair is shared across the Query Template Identifier,
 //! the SQL Query Generator, the DFS/Random baselines and each multi-source
 //! pipeline run ([`QueryEngine::stats`] shows the cross-component reuse).
@@ -90,26 +90,34 @@
 //! ## Transform path (offline → online)
 //!
 //! Search evaluates candidates against the *training* table, but a fitted
-//! plan's value is applying its queries to **unseen** rows. The transform
-//! path splits an evaluation into its two halves: the per-group aggregation
-//! runs once per query and is memoized group-aligned in the shared core,
-//! and [`QueryEngine::transform`] then gathers those per-group features
-//! through a fresh [`KeyMapper`]-driven key mapping for whatever table is
-//! being served — so transforming N tables pays the aggregation once plus N
-//! O(rows) gathers. [`QueryEngine::lookup`] is the online half: a single-key
-//! point read out of the same cached per-group features (two hash probes
+//! plan's value is applying its queries to **unseen** rows. Every entry
+//! point splits an evaluation into the same two halves: the per-group
+//! aggregation runs once per query and is memoized group-aligned in the
+//! feature memo below, and a gather then maps it onto rows.
+//! [`QueryEngine::evaluate`] gathers through the training table's
+//! precomputed row → group map; [`QueryEngine::transform`] gathers through a
+//! fresh [`KeyMapper`]-driven key mapping for whatever table is being served
+//! — so transforming N tables pays the aggregation once plus N O(rows)
+//! gathers, and a fitted plan's first transform reuses the aggregations its
+//! search already ran (unless the memo's budget dropped them).
+//! [`QueryEngine::lookup`] is the online half: a
+//! single-key point read out of the same per-group features (two hash probes
 //! after the first call). Repeat transforms and lookups move no engine
 //! counter, which is how tests assert the reuse.
 //!
-//! ## Evaluation-level feature cache
+//! ## The feature memo
 //!
-//! TPE resamples near-duplicate configurations, so the engine keeps a small
-//! LRU of finished feature vectors keyed by the query's structure — its
-//! `(aggregate, aggregated column, predicate, key subset)`. A repeat
-//! candidate skips the whole evaluation and returns the cached (identical)
-//! vector; hits are visible as [`EngineStats::feature_cache_hits`]. The
-//! default capacity is sized from the training table's row count so the
-//! cache stays within a fixed byte budget.
+//! One memo per epoch holds every per-group feature any entry point has
+//! aggregated, keyed by the query's structural `Debug` form — its
+//! `(aggregate, aggregated column, predicate, key subset)`. TPE resamples
+//! near-duplicate configurations, so a repeat candidate skips the whole
+//! aggregation; `evaluate` hits are visible as
+//! [`EngineStats::feature_cache_hits`]. Each entry carries a `served` flag,
+//! set only when transform, lookup or `prepare` reads it. The memo is held
+//! to a fixed 64 MiB budget (`values.len() × 16 B` per entry): an insert
+//! past it drops every entry that is not served. `append_relevant` carries only
+//! served entries into the next epoch, so search-time entries end at an
+//! epoch boundary and an append delta-updates just what serving reads.
 //!
 //! ## Aggregation kernels
 //!
@@ -161,18 +169,8 @@ const MAX_DEFAULT_WORKERS: usize = 8;
 /// a tiny pool across the flat cap of [`MAX_DEFAULT_WORKERS`].
 const MIN_POOL_PER_WORKER: usize = 8;
 
-/// Hard cap on the feature LRU's entry count, and the rough memory budget the
-/// default capacity is derived from (each entry is one train-length
-/// `Vec<Option<f64>>`, so a flat entry cap would balloon on large tables).
-const MAX_FEATURE_CACHE_ENTRIES: usize = 512;
-const FEATURE_CACHE_BYTES: usize = 64 << 20;
-
-/// Default feature-LRU capacity for a training table of `train_rows` rows:
-/// as many entries as fit the byte budget, clamped to `16..=512`.
-fn default_cache_capacity(train_rows: usize) -> usize {
-    let bytes_per_entry = train_rows.max(1) * std::mem::size_of::<Option<f64>>();
-    (FEATURE_CACHE_BYTES / bytes_per_entry).clamp(16, MAX_FEATURE_CACHE_ENTRIES)
-}
+/// Byte budget of the feature memo (see [`FeatureMemo::insert`]).
+const FEATURE_MEMO_BYTES: usize = 64 << 20;
 
 /// Parse a `FEATAUG_THREADS`-style override: a positive integer wins, anything
 /// else (unset, non-numeric, zero) falls through to auto-detection.
@@ -406,33 +404,31 @@ pub(crate) fn lock_recover<T>(lock: &Mutex<T>) -> MutexGuard<'_, T> {
     lock.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// One worker's scatter-back: `(input slot, result)` pairs, or the panic
+/// message if the worker thread itself died.
+type WorkerPart<R> = Result<Vec<(usize, EngineResult<R>)>, String>;
+
 /// The one scoped-worker fan-out loop behind every batch entry point
 /// (candidate evaluation, parallel transform, batch lookups). Work is handed
 /// out by an atomic cursor — dynamic load balance, since item costs are
-/// uneven — each worker builds one `state` for its whole run (a pooled
-/// scratch, a reusable buffer) and tears it down through `done`, and every
-/// result is scattered back to its input slot, so the output is positionally
-/// deterministic regardless of scheduling. `workers` is clamped to
-/// `1..=items.len()`; one worker runs the loop inline with no threads.
+/// uneven — each worker builds one `state` for its whole run (a reusable
+/// buffer), and every result is scattered back to its input slot, so the
+/// output is positionally deterministic regardless of scheduling. `workers`
+/// is clamped to `1..=items.len()`; one worker runs the loop inline with no
+/// threads.
 ///
 /// **Panic containment.** Each item's `work` call runs under
 /// [`catch_unwind`]: a panic fails only that item — its slot becomes
 /// [`EngineError::WorkerPanic`] naming `context` — and the worker keeps
 /// draining the cursor with a *fresh* `state` (the panicked one may have
-/// broken invariants mid-mutation, so it is dropped and never handed to
-/// `done`). Should a worker thread die anyway (a panic in `state`/`done`
-/// itself), its claimed-but-unreported items degrade to the same typed error
-/// instead of crashing the process.
-/// One worker's scatter-back: `(input slot, result)` pairs, or the panic
-/// message if the worker thread itself died.
-type WorkerPart<R> = Result<Vec<(usize, EngineResult<R>)>, String>;
-
+/// broken invariants mid-mutation, so it is dropped). Should a worker thread
+/// die anyway (a panic in `state` itself), its claimed-but-unreported items
+/// degrade to the same typed error instead of crashing the process.
 pub(crate) fn fan_out<T, S, R>(
     items: &[T],
     workers: usize,
     context: &'static str,
     state: impl Fn() -> S + Sync,
-    done: impl Fn(S) + Sync,
     work: impl Fn(&mut S, &T) -> EngineResult<R> + Sync,
 ) -> Vec<EngineResult<R>>
 where
@@ -463,12 +459,11 @@ where
             }
             out.push(result);
         }
-        done(s);
         return out;
     }
     let cursor = AtomicUsize::new(0);
     let parts: Vec<WorkerPart<R>> = std::thread::scope(|scope| {
-        let (cursor, state, done, guarded) = (&cursor, &state, &done, &guarded);
+        let (cursor, state, guarded) = (&cursor, &state, &guarded);
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(move || {
@@ -483,7 +478,6 @@ where
                         }
                         local.push((i, result));
                     }
-                    done(s);
                     local
                 })
             })
@@ -702,9 +696,9 @@ fn build_order_index(gi: &GroupIndex, view: &[Option<f64>]) -> OrderIndex {
     }
 }
 
-/// The mutable buffers one evaluation needs. Each worker of a batch (and each
-/// serial `evaluate` call) checks one out of the engine's pool, so the shared
-/// core stays read-only during evaluation and workers never contend.
+/// The mutable buffers one aggregation needs. Each aggregation checks one out
+/// of the engine's pool, so the shared core stays read-only during evaluation
+/// and workers never contend.
 #[derive(Default)]
 struct EvalScratch {
     /// Predicate result mask, reused across evaluations.
@@ -751,74 +745,55 @@ struct EvalScratch {
     group_out: Vec<Option<f64>>,
 }
 
-/// A finished feature vector, shared between the cache and callers.
-type SharedFeature = Arc<Vec<Option<f64>>>;
 /// A memoized per-group feature paired with its group index (transform path).
 type SharedGroupFeature = (Arc<GroupIndex>, Arc<Vec<Option<f64>>>);
 
-/// A small LRU over finished feature vectors, keyed by the query's `Debug`
+/// The engine's one feature memo (see the [module docs](self)): each query's
+/// [`GroupFeature`] and its `served` flag, keyed by the query's `Debug`
 /// rendering — unlike the displayed SQL (whose string literals are not quote
 /// escaped), the `Debug` form is structurally unambiguous, so two distinct
-/// queries can never share a cache slot. Recency is a monotonic tick;
-/// eviction removes the stalest entry.
-#[derive(Clone)]
-struct FeatureCache {
-    capacity: usize,
-    tick: u64,
-    map: HashMap<String, (SharedFeature, u64)>,
+/// queries can never share a slot.
+#[derive(Clone, Default)]
+struct FeatureMemo {
+    map: HashMap<String, (Arc<GroupFeature>, bool)>,
+    /// [`GroupFeature::bytes`] summed over the entries.
+    bytes: usize,
 }
 
-impl FeatureCache {
-    fn new(capacity: usize) -> FeatureCache {
-        FeatureCache {
-            capacity,
-            tick: 0,
-            map: HashMap::new(),
-        }
-    }
-
+impl FeatureMemo {
     fn key(query: &PredicateQuery) -> String {
         format!("{query:?}")
     }
 
-    /// Change the capacity, trimming stalest-first if the cache is over the
-    /// new bound (so lowering the capacity actually releases memory).
-    fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity;
-        while self.map.len() > self.capacity {
-            self.evict_stalest();
-        }
+    /// The entry under `key` and its `served` flag.
+    fn get(&self, key: &str) -> Option<(Arc<GroupFeature>, bool)> {
+        self.map
+            .get(key)
+            .map(|(entry, served)| (entry.clone(), *served))
     }
 
-    fn evict_stalest(&mut self) {
-        if let Some(stalest) = self
-            .map
-            .iter()
-            .min_by_key(|(_, (_, t))| *t)
-            .map(|(k, _)| k.clone())
-        {
-            self.map.remove(&stalest);
+    /// Insert `entry` under `key` and return the memo's entry for it — the
+    /// one already there if another request inserted first, whose flag then
+    /// also takes `served`. An insert that would take the memo past `budget`
+    /// bytes first drops every entry that is not served.
+    fn insert(
+        &mut self,
+        key: String,
+        entry: Arc<GroupFeature>,
+        served: bool,
+        budget: usize,
+    ) -> Arc<GroupFeature> {
+        if let Some((existing, flag)) = self.map.get_mut(&key) {
+            *flag |= served;
+            return existing.clone();
         }
-    }
-
-    fn get(&mut self, key: &str) -> Option<Arc<Vec<Option<f64>>>> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.map.get_mut(key).map(|entry| {
-            entry.1 = tick;
-            entry.0.clone()
-        })
-    }
-
-    fn insert(&mut self, key: String, values: Arc<Vec<Option<f64>>>) {
-        if self.capacity == 0 {
-            return;
+        if self.bytes + entry.bytes() > budget {
+            self.map.retain(|_, (_, served)| *served);
+            self.bytes = self.map.values().map(|(e, _)| e.bytes()).sum();
         }
-        if self.map.len() >= self.capacity && !self.map.contains_key(&key) {
-            self.evict_stalest();
-        }
-        self.tick += 1;
-        self.map.insert(key, (values, self.tick));
+        self.bytes += entry.bytes();
+        self.map.insert(key, (entry.clone(), served));
+        entry
     }
 }
 
@@ -835,6 +810,13 @@ struct GroupFeature {
     values: Arc<Vec<Option<f64>>>,
     /// Resumable per-group kernel state.
     state: FeatureState,
+}
+
+impl GroupFeature {
+    /// What the feature memo's budget counts for this entry.
+    fn bytes(&self) -> usize {
+        self.values.len() * std::mem::size_of::<Option<f64>>()
+    }
 }
 
 /// Resumable per-group kernel state of a [`GroupFeature`]. The maps are
@@ -940,23 +922,16 @@ pub(crate) struct EngineCore<'a> {
     /// Sorted-group value index per `(aggregation column, group-key subset)`
     /// pair, serving the order-statistic kernels.
     order: RwLock<HashMap<OrderKey, Arc<OrderIndex>>>,
-    /// Per-group feature of each query the transform/serve path has
-    /// materialised, keyed like the feature LRU by the query's structural
-    /// `Debug` form. Group-aligned (one slot per group of the query's key
-    /// subset), so one aggregation pass serves transforms onto any number of
-    /// tables and every point lookup. Never evicted: a fitted plan holds a
-    /// few dozen queries at most; appends carry every entry forward
-    /// (delta-updated or `Arc`-shared).
-    group_feats: RwLock<HashMap<String, Arc<GroupFeature>>>,
-    /// Finished train-aligned feature vectors of recent queries. Per-epoch:
-    /// cached vectors are frozen against this epoch's relevant table, so the
-    /// next epoch starts fresh instead of serving stale features.
-    features: Mutex<FeatureCache>,
+    /// The feature memo: the per-group feature of every query aggregated
+    /// against this epoch. Group-aligned (one slot per group of the query's
+    /// key subset), so one aggregation pass serves `evaluate`, transforms
+    /// onto any number of tables and every point lookup.
+    group_feats: RwLock<FeatureMemo>,
 }
 
 impl<'a> EngineCore<'a> {
     /// An empty core over `relevant` at `epoch`.
-    fn fresh(relevant: TableHandle<'a>, epoch: u64, cache_capacity: usize) -> EngineCore<'a> {
+    fn fresh(relevant: TableHandle<'a>, epoch: u64) -> EngineCore<'a> {
         EngineCore {
             epoch,
             relevant,
@@ -965,8 +940,7 @@ impl<'a> EngineCore<'a> {
             sorted: RwLock::new(HashMap::new()),
             cats: RwLock::new(HashMap::new()),
             order: RwLock::new(HashMap::new()),
-            group_feats: RwLock::new(HashMap::new()),
-            features: Mutex::new(FeatureCache::new(cache_capacity)),
+            group_feats: RwLock::new(FeatureMemo::default()),
         }
     }
 
@@ -989,19 +963,13 @@ struct EngineShared<'a> {
     /// The current epoch. Read paths pin it once per request; appends build
     /// the successor off to the side and publish it here.
     core: EpochCell<EngineCore<'a>>,
-    /// Lock-free mirror of the feature cache's capacity, so the hot path can
-    /// skip the key rendering and the cache lock entirely when caching is
-    /// disabled — and so each new epoch's fresh cache inherits it.
-    cache_capacity: AtomicUsize,
     /// Reusable evaluation scratch, one entry per concurrently-active worker.
     /// Shared across epochs: per-group buffers only ever grow, and group
     /// counts only grow across appends.
     scratch: Mutex<Vec<EvalScratch>>,
-    /// Number of evaluation requests served (cache hits included),
-    /// accumulated across epochs.
+    /// See [`EngineStats::evaluations`]; accumulated across epochs.
     evaluations: AtomicUsize,
-    /// Number of requests answered from the feature cache, accumulated
-    /// across epochs.
+    /// See [`EngineStats::feature_cache_hits`]; accumulated across epochs.
     cache_hits: AtomicUsize,
     /// Serializes `append_relevant` calls. Never held by readers — lookups
     /// and transforms pin the published core and proceed regardless.
@@ -1011,7 +979,8 @@ struct EngineShared<'a> {
 /// Cache and throughput counters of a [`QueryEngine`] (for benches and tests).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Evaluation requests served so far (feature-cache hits included).
+    /// `evaluate` requests served so far (feature-memo hits included), plus
+    /// the aggregations transform, lookup and `prepare` ran on memo misses.
     pub evaluations: usize,
     /// Distinct group-key subsets compiled.
     pub group_indexes: usize,
@@ -1020,11 +989,13 @@ pub struct EngineStats {
     /// Distinct `(aggregation column, key subset)` sorted-group value indexes
     /// compiled for the order-statistic kernels.
     pub order_indexes: usize,
-    /// Requests answered from the feature LRU without evaluating.
+    /// `evaluate` requests answered from the feature memo without
+    /// aggregating.
     pub feature_cache_hits: usize,
-    /// Distinct per-group feature vectors materialised for the
-    /// transform/serve path. Each costs exactly one evaluation; repeat
-    /// transforms and point lookups are pure cache reads that move *no*
+    /// Per-group features in the current epoch's feature memo: the
+    /// search-time entries `evaluate` aggregated plus those transform,
+    /// lookup and `prepare` read. Each costs exactly one aggregation; repeat
+    /// transforms and point lookups are pure memo reads that move *no*
     /// counter.
     pub group_features: usize,
 }
@@ -1033,7 +1004,7 @@ pub struct EngineStats {
 /// over one `(train, relevant)` table pair.
 ///
 /// Cloning an engine is cheap and yields a handle onto the *same* compiled
-/// core, feature cache and counters — share one engine per table pair across
+/// core, feature memo and counters — share one engine per table pair across
 /// every component that evaluates candidates against it.
 ///
 /// Tables are held through [`TableHandle`]s: [`QueryEngine::new`] borrows
@@ -1067,12 +1038,10 @@ impl<'a> QueryEngine<'a> {
     /// Build an engine over explicit [`TableHandle`]s (the general form
     /// behind [`QueryEngine::new`] / [`QueryEngine::new_shared`]).
     pub fn with_handles(train: TableHandle<'a>, relevant: TableHandle<'a>) -> QueryEngine<'a> {
-        let capacity = default_cache_capacity(train.num_rows());
         QueryEngine {
             train,
             shared: Arc::new(EngineShared {
-                core: EpochCell::new(Arc::new(EngineCore::fresh(relevant, 0, capacity))),
-                cache_capacity: AtomicUsize::new(capacity),
+                core: EpochCell::new(Arc::new(EngineCore::fresh(relevant, 0))),
                 scratch: Mutex::new(Vec::new()),
                 evaluations: AtomicUsize::new(0),
                 cache_hits: AtomicUsize::new(0),
@@ -1082,7 +1051,7 @@ impl<'a> QueryEngine<'a> {
     }
 
     /// Upgrade this engine to shared table ownership, keeping the compiled
-    /// core: every memoized group index, column view, order index, cached
+    /// core: every memoized group index, column view, order index, memoized
     /// feature and counter carries over (map clones are `Arc` refcount
     /// bumps; table clones preserve dictionaries and row order, so the
     /// artifacts stay valid). Borrowed tables are cloned once;
@@ -1098,15 +1067,11 @@ impl<'a> QueryEngine<'a> {
             cats: RwLock::new(read_recover(&core.cats).clone()),
             order: RwLock::new(read_recover(&core.order).clone()),
             group_feats: RwLock::new(read_recover(&core.group_feats).clone()),
-            features: Mutex::new(lock_recover(&core.features).clone()),
         };
         QueryEngine {
             train: self.train.into_shared(),
             shared: Arc::new(EngineShared {
                 core: EpochCell::new(Arc::new(owned)),
-                cache_capacity: AtomicUsize::new(
-                    self.shared.cache_capacity.load(Ordering::Relaxed),
-                ),
                 scratch: Mutex::new(Vec::new()),
                 evaluations: AtomicUsize::new(self.shared.evaluations.load(Ordering::Relaxed)),
                 cache_hits: AtomicUsize::new(self.shared.cache_hits.load(Ordering::Relaxed)),
@@ -1128,19 +1093,6 @@ impl<'a> QueryEngine<'a> {
         self.core().epoch
     }
 
-    /// Builder-style override of the feature LRU's capacity (entries; the
-    /// default is sized from the training table so the cache stays within a
-    /// fixed byte budget). `0` disables evaluation-level caching entirely;
-    /// lowering the capacity trims existing entries immediately. Later
-    /// epochs inherit the override.
-    pub fn with_feature_cache_capacity(self, capacity: usize) -> QueryEngine<'a> {
-        lock_recover(&self.core().features).set_capacity(capacity);
-        self.shared
-            .cache_capacity
-            .store(capacity, Ordering::Relaxed);
-        self
-    }
-
     /// Cache and throughput counters, accumulated across every clone of this
     /// engine. Counter totals are deterministic for serial use; under batch
     /// evaluation the split between `feature_cache_hits` and real evaluations
@@ -1154,16 +1106,17 @@ impl<'a> QueryEngine<'a> {
             column_views: read_recover(&core.views).len(),
             order_indexes: read_recover(&core.order).len(),
             feature_cache_hits: self.shared.cache_hits.load(Ordering::Relaxed),
-            group_features: read_recover(&core.group_feats).len(),
+            group_features: read_recover(&core.group_feats).map.len(),
         };
         stats
     }
 
     /// Evaluate `query` and return its feature aligned with the training
     /// table's rows (`None` = SQL NULL), exactly as the reference
-    /// execute-then-left-join path would produce.
+    /// execute-then-left-join path would produce: the memoized per-group
+    /// feature, gathered through the training table's row → group map.
     pub fn evaluate(&self, query: &PredicateQuery) -> EngineResult<Vec<Option<f64>>> {
-        self.evaluate_with(query, None)
+        self.evaluate_in(&self.core(), query, None)
     }
 
     /// [`QueryEngine::evaluate`] under a [`CancelToken`]: the kernel and
@@ -1171,25 +1124,29 @@ impl<'a> QueryEngine<'a> {
     /// `CANCEL_GROUP_STRIDE` groups and at phase boundaries) and abandon
     /// the evaluation with [`EngineError::Cancelled`] the moment it trips —
     /// mid-kernel, not at the next batch boundary. Cancelled evaluations are
-    /// never cached.
+    /// never memoized.
     pub fn evaluate_cancel(
         &self,
         query: &PredicateQuery,
         cancel: &CancelToken,
     ) -> EngineResult<Vec<Option<f64>>> {
-        self.evaluate_with(query, Some(cancel))
+        self.evaluate_in(&self.core(), query, Some(cancel))
     }
 
-    fn evaluate_with(
+    /// The one `evaluate` path, against a pinned epoch. Search-time entries
+    /// are memoized unserved.
+    fn evaluate_in(
         &self,
+        core: &EngineCore<'a>,
         query: &PredicateQuery,
         cancel: Option<&CancelToken>,
     ) -> EngineResult<Vec<Option<f64>>> {
-        let core = self.core();
-        let mut scratch = self.take_scratch();
-        let result = self.evaluate_cached(&core, &mut scratch, query, cancel);
-        self.put_scratch(scratch);
-        result.map(|values| (*values).clone())
+        self.shared.evaluations.fetch_add(1, Ordering::Relaxed);
+        let (gi, entry, hit) = self.memo_entry(core, query, false, cancel)?;
+        if hit {
+            self.shared.cache_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(gather(&gi.train_group, &entry.values))
     }
 
     /// Evaluate `query` into the NaN-encoded feature vector the search loops
@@ -1197,8 +1154,7 @@ impl<'a> QueryEngine<'a> {
     /// `feature_vector(&query.augment(train, relevant)?.0, &name)`.
     pub fn feature(&self, query: &PredicateQuery) -> EngineResult<(String, Vec<f64>)> {
         let values = self.evaluate(query)?;
-        let encoded = values.into_iter().map(|v| v.unwrap_or(f64::NAN)).collect();
-        Ok((query.feature_name(), encoded))
+        Ok((query.feature_name(), nan_encode(values)))
     }
 
     /// Evaluate a whole candidate pool, fanning it across
@@ -1220,20 +1176,16 @@ impl<'a> QueryEngine<'a> {
         queries: &[PredicateQuery],
         workers: usize,
     ) -> Vec<EngineResult<Vec<Option<f64>>>> {
-        self.batch_arcs(queries, workers)
-            .into_iter()
-            .map(|r| r.map(|values| (*values).clone()))
-            .collect()
-    }
-
-    /// [`QueryEngine::evaluate_batch`] returning shared handles instead of
-    /// owned vectors: feature-cache hits cost an `Arc` bump, not an
-    /// O(train-rows) copy. Preferred when the caller only reads the values.
-    pub fn evaluate_batch_shared(
-        &self,
-        queries: &[PredicateQuery],
-    ) -> Vec<EngineResult<Arc<Vec<Option<f64>>>>> {
-        self.batch_arcs(queries, workers_for_pool(queries.len()))
+        // Pin one epoch for the whole batch: every query resolves against the
+        // same snapshot even if appends land mid-batch.
+        let core = self.core();
+        fan_out(
+            queries,
+            workers,
+            "batch evaluation",
+            || (),
+            |_, query| self.evaluate_in(&core, query, None),
+        )
     }
 
     /// Batch counterpart of [`QueryEngine::feature`]: the candidate pool's
@@ -1251,37 +1203,11 @@ impl<'a> QueryEngine<'a> {
         queries: &[PredicateQuery],
         workers: usize,
     ) -> Vec<EngineResult<(String, Vec<f64>)>> {
-        self.batch_arcs(queries, workers)
+        self.evaluate_batch_threads(queries, workers)
             .into_iter()
             .zip(queries)
-            .map(|(result, query)| {
-                result.map(|values| {
-                    let encoded = values.iter().map(|v| v.unwrap_or(f64::NAN)).collect();
-                    (query.feature_name(), encoded)
-                })
-            })
+            .map(|(result, query)| result.map(|values| (query.feature_name(), nan_encode(values))))
             .collect()
-    }
-
-    /// Fan the pool across the shared [`fan_out`] worker loop; each worker
-    /// keeps one scratch for its whole run (order-sensitive aggregates make
-    /// query costs uneven, so the dynamic cursor load-balances them).
-    fn batch_arcs(
-        &self,
-        queries: &[PredicateQuery],
-        workers: usize,
-    ) -> Vec<EngineResult<Arc<Vec<Option<f64>>>>> {
-        // Pin one epoch for the whole batch: every query resolves against the
-        // same snapshot even if appends land mid-batch.
-        let core = self.core();
-        fan_out(
-            queries,
-            workers,
-            "batch evaluation",
-            || self.take_scratch(),
-            |scratch| self.put_scratch(scratch),
-            |scratch, query| self.evaluate_cached(&core, scratch, query, None),
-        )
     }
 
     fn take_scratch(&self) -> EvalScratch {
@@ -1292,76 +1218,13 @@ impl<'a> QueryEngine<'a> {
         lock_recover(&self.shared.scratch).push(scratch);
     }
 
-    /// Serve one request: feature-LRU lookup first, full evaluation on miss.
-    /// Only successful evaluations are cached (errors must keep erroring).
-    /// With caching disabled the key rendering and cache lock are skipped
-    /// entirely.
-    fn evaluate_cached(
-        &self,
-        core: &EngineCore<'a>,
-        scratch: &mut EvalScratch,
-        query: &PredicateQuery,
-        cancel: Option<&CancelToken>,
-    ) -> EngineResult<Arc<Vec<Option<f64>>>> {
-        self.shared.evaluations.fetch_add(1, Ordering::Relaxed);
-        if self.shared.cache_capacity.load(Ordering::Relaxed) == 0 {
-            return Ok(Arc::new(
-                self.evaluate_uncached(core, scratch, query, cancel)?,
-            ));
-        }
-        let key = FeatureCache::key(query);
-        if let Some(hit) = lock_recover(&core.features).get(&key) {
-            self.shared.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(hit);
-        }
-        let values = Arc::new(self.evaluate_uncached(core, scratch, query, cancel)?);
-        lock_recover(&core.features).insert(key, values.clone());
-        Ok(values)
-    }
-
-    /// The actual evaluation: predicate mask → grouped aggregation → train
-    /// gather, all against the shared compiled core plus this worker's
-    /// scratch.
-    fn evaluate_uncached(
-        &self,
-        core: &EngineCore<'a>,
-        scratch: &mut EvalScratch,
-        query: &PredicateQuery,
-        cancel: Option<&CancelToken>,
-    ) -> EngineResult<Vec<Option<f64>>> {
-        let gi = core.group_index(&self.train, &query.group_keys)?;
-        core.aggregate_into_scratch(scratch, query, &gi, cancel)?;
-
-        // O(train) gather through the precomputed train-row -> group map.
-        // `sel_count > 0` guards against reading stale `group_out` slots of
-        // groups the current query never touched. NaN results are
-        // canonicalized here: IEEE 754 leaves an arithmetic NaN's sign and
-        // payload unspecified, and the reference `AggFunc::apply` pins them
-        // to the canonical NaN (see `feataug_tabular::aggregate`).
-        let mut out = vec![None; self.train.num_rows()];
-        for (slot, tg) in out.iter_mut().zip(&gi.train_group) {
-            if let Some(g) = tg {
-                let g = *g as usize;
-                if scratch.sel_count[g] > 0 {
-                    *slot = scratch.group_out[g].map(canonical_nan);
-                }
-            }
-        }
-
-        // Restore the all-zero `sel_count` invariant (O(touched groups)).
-        for &g in &scratch.touched {
-            scratch.sel_count[g as usize] = 0;
-        }
-        Ok(out)
-    }
-
     /// Fetch (or evaluate once and memoize) `query`'s **per-group** feature:
     /// one slot per group of the query's key subset, `None` for groups the
     /// predicate filtered out entirely or whose aggregate is NULL — exactly
     /// the value a gather delivers to any row carrying that group's key. This
     /// is the transform/serve workhorse: the aggregation runs once per query
-    /// per engine, and every later transform (over any table) or point lookup
-    /// is a cache read that moves no counter.
+    /// per epoch, and every later transform (over any table) or point lookup
+    /// is a memo read that moves no counter. The entry is marked served.
     ///
     /// A memo hit costs one probe and never polls `cancel`; a miss runs the
     /// aggregation with the token threaded through the kernel checkpoints,
@@ -1373,25 +1236,47 @@ impl<'a> QueryEngine<'a> {
         query: &PredicateQuery,
         cancel: Option<&CancelToken>,
     ) -> EngineResult<SharedGroupFeature> {
-        let gi = core.group_index(&self.train, &query.group_keys)?;
-        let key = FeatureCache::key(query);
-        if let Some(hit) = read_recover(&core.group_feats).get(&key) {
-            return Ok((gi, hit.values.clone()));
+        let (gi, entry, hit) = self.memo_entry(core, query, true, cancel)?;
+        if !hit {
+            self.shared.evaluations.fetch_add(1, Ordering::Relaxed);
         }
-        self.shared.evaluations.fetch_add(1, Ordering::Relaxed);
-        let built = self.materialize_group_feature(core, query, &gi, cancel)?;
-        let entry = Arc::new(GroupFeature {
-            query: query.clone(),
-            values: built,
-            state: FeatureState::None,
-        });
-        let mut map = write_recover(&core.group_feats);
-        // A racing worker may have inserted first; keep the canonical Arc.
-        Ok((gi, map.entry(key).or_insert(entry).values.clone()))
+        Ok((gi, entry.values.clone()))
+    }
+
+    /// Probe the feature memo for `query`, aggregating and inserting it on a
+    /// miss; `served` marks the entry served. Returns the query's group
+    /// index, its entry, and whether the probe hit.
+    fn memo_entry(
+        &self,
+        core: &EngineCore<'a>,
+        query: &PredicateQuery,
+        served: bool,
+        cancel: Option<&CancelToken>,
+    ) -> EngineResult<(Arc<GroupIndex>, Arc<GroupFeature>, bool)> {
+        let gi = core.group_index(&self.train, &query.group_keys)?;
+        let key = FeatureMemo::key(query);
+        // Bind the probe first: its read guard must drop before the insert
+        // below takes the write lock.
+        let probe = read_recover(&core.group_feats).get(&key);
+        let (entry, hit) = match probe {
+            Some((entry, flag)) if flag || !served => return Ok((gi, entry, true)),
+            Some((entry, _)) => (entry, true),
+            None => {
+                let values = self.materialize_group_feature(core, query, &gi, cancel)?;
+                let entry = GroupFeature {
+                    query: query.clone(),
+                    values,
+                    state: FeatureState::None,
+                };
+                (Arc::new(entry), false)
+            }
+        };
+        let entry = write_recover(&core.group_feats).insert(key, entry, served, FEATURE_MEMO_BYTES);
+        Ok((gi, entry, hit))
     }
 
     /// Evaluate `query`'s per-group feature against `core` (no memo probe, no
-    /// counter bump — [`QueryEngine::group_feature`] and the append path wrap
+    /// counter bump — [`QueryEngine::memo_entry`] and the append path wrap
     /// this with their own bookkeeping).
     fn materialize_group_feature(
         &self,
@@ -1407,12 +1292,16 @@ impl<'a> QueryEngine<'a> {
             return Err(e);
         }
         // Materialise the touched groups (the only ones with live scratch
-        // slots); canonicalize NaNs exactly like the train gather does.
+        // slots). NaN results are canonicalized here: IEEE 754 leaves an
+        // arithmetic NaN's sign and payload unspecified, and the reference
+        // `AggFunc::apply` pins them to the canonical NaN (see
+        // `feataug_tabular::aggregate`).
         let mut values: Vec<Option<f64>> = vec![None; gi.n_groups];
         for &g in &scratch.touched {
             let g = g as usize;
             values[g] = scratch.group_out[g].map(canonical_nan);
         }
+        // Restore the all-zero `sel_count` invariant (O(touched groups)).
         for &g in &scratch.touched {
             scratch.sel_count[g as usize] = 0;
         }
@@ -1496,7 +1385,7 @@ impl<'a> QueryEngine<'a> {
     /// The one transform path behind [`QueryEngine::transform`],
     /// [`QueryEngine::transform_threads`] and
     /// [`QueryEngine::transform_cancel`].
-    pub(crate) fn transform_with(
+    fn transform_with(
         &self,
         queries: &[PredicateQuery],
         table: &Table,
@@ -1524,16 +1413,11 @@ impl<'a> QueryEngine<'a> {
             workers,
             "transform",
             || (),
-            |()| (),
             |_, query| -> EngineResult<Vec<Option<f64>>> {
                 crate::fail_point!("exec.gather");
                 let (_, feats) = self.group_feature(&core, query, cancel)?;
-                let map = &maps[query.group_keys.as_slice()];
                 cancel_checkpoint(cancel)?;
-                Ok(map
-                    .iter()
-                    .map(|g| g.and_then(|g| feats[g as usize]))
-                    .collect())
+                Ok(gather(&maps[query.group_keys.as_slice()], &feats))
             },
         )
         .into_iter()
@@ -1569,9 +1453,8 @@ impl<'a> QueryEngine<'a> {
     }
 
     /// [`QueryEngine::lookup`] against an explicitly pinned epoch, under an
-    /// optional token — the form the shard router and
-    /// [`crate::pipeline::AugModel::serve`] use so a multi-query request
-    /// observes one consistent snapshot.
+    /// optional token — the form [`crate::pipeline::AugModel::serve`] uses
+    /// so a multi-query request observes one consistent snapshot.
     pub(crate) fn lookup_pinned(
         &self,
         core: &EngineCore<'a>,
@@ -1651,11 +1534,7 @@ impl<'a> QueryEngine<'a> {
         // dictionary keeps every shard's code assignment globally aligned.
         let relevant = TableHandle::from(Arc::new(old.relevant.concat_absorbing(rows)?));
         let total = relevant.num_rows();
-        let core = EngineCore::fresh(
-            relevant,
-            old.epoch + 1,
-            self.shared.cache_capacity.load(Ordering::Relaxed),
-        );
+        let core = EngineCore::fresh(relevant, old.epoch + 1);
 
         // Column views: re-extracted per compiled column — a branch-free
         // O(table) memcpy pass, the same extraction a fresh engine pays once
@@ -1811,10 +1690,12 @@ impl<'a> QueryEngine<'a> {
             );
         }
 
-        // Per-group features: every memoized entry is carried into the new
-        // epoch — untouched ones as `Arc` shares, touched ones delta-updated
-        // — so post-append lookups and transforms stay pure cache reads.
-        for (key, gf) in read_recover(&old.group_feats).iter() {
+        // Per-group features: every served memo entry is carried into the
+        // new epoch — untouched ones as `Arc` shares, touched ones
+        // delta-updated — so post-append lookups and transforms stay pure
+        // memo reads. Search-time (unserved) entries end with their epoch.
+        let old_memo = read_recover(&old.group_feats);
+        for (key, (gf, _)) in old_memo.map.iter().filter(|(_, (_, served))| *served) {
             let entry = match deltas.get(&gf.query.group_keys) {
                 Some(d) => self.delta_group_feature(&core, gf, d, base)?,
                 None => {
@@ -1826,8 +1707,9 @@ impl<'a> QueryEngine<'a> {
                     })
                 }
             };
-            write_recover(&core.group_feats).insert(key.clone(), entry);
+            write_recover(&core.group_feats).insert(key.clone(), entry, true, FEATURE_MEMO_BYTES);
         }
+        drop(old_memo);
 
         let mut touched_groups = 0;
         let mut new_groups = 0;
@@ -2565,6 +2447,21 @@ fn build_group_index(
     })
 }
 
+/// Map a per-group feature onto rows through a row → group map (a group
+/// index's `train_group`, or a transform's gather map): unmatched rows are
+/// NULL.
+fn gather(groups: &[Option<u32>], values: &[Option<f64>]) -> Vec<Option<f64>> {
+    groups
+        .iter()
+        .map(|g| g.and_then(|g| values[g as usize]))
+        .collect()
+}
+
+/// The search loops' encoding of a feature: NULL becomes NaN.
+fn nan_encode(values: Vec<Option<f64>>) -> Vec<f64> {
+    values.into_iter().map(|v| v.unwrap_or(f64::NAN)).collect()
+}
+
 /// Rebuild the numeric view of a categorical aggregation column the way the
 /// reference path sees it after filtering: `CatColumn::take` re-interns the
 /// dictionary, so codes are renumbered by first appearance among the selected
@@ -3089,7 +2986,7 @@ mod tests {
         assert_eq!(stats.column_views, 1);
         assert_eq!(
             stats.feature_cache_hits, 1,
-            "the repeated query must hit the feature LRU"
+            "the repeated query must hit the feature memo"
         );
     }
 
@@ -3116,30 +3013,12 @@ mod tests {
         );
     }
 
-    #[test]
-    fn feature_cache_evicts_stalest_entry_at_capacity() {
-        let (train, relevant) = (train(), relevant());
-        let engine = QueryEngine::new(&train, &relevant).with_feature_cache_capacity(2);
-        let a = query(AggFunc::Sum, Predicate::True, &["cname"]);
-        let b = query(AggFunc::Avg, Predicate::True, &["cname"]);
-        let c = query(AggFunc::Max, Predicate::True, &["cname"]);
-        engine.evaluate(&a).unwrap(); // cache: {a}
-        engine.evaluate(&b).unwrap(); // cache: {a, b}
-        engine.evaluate(&a).unwrap(); // hit; a is now fresher than b
-        engine.evaluate(&c).unwrap(); // evicts b
-        engine.evaluate(&a).unwrap(); // hit
-        engine.evaluate(&b).unwrap(); // miss: was evicted
-        let stats = engine.stats();
-        assert_eq!(stats.feature_cache_hits, 2);
-        assert_eq!(stats.evaluations, 6);
-    }
-
     /// Regression, two layers deep. Historically the displayed SQL did not
     /// escape quotes inside string literals, so two *structurally different*
     /// queries could render to the same text — the literal below used to
     /// read exactly like the two-leaf conjunction. Literals are SQL-escaped
     /// now (quotes doubled), making the rendering injective again; and the
-    /// feature cache keys on structure regardless, so neither layer can
+    /// feature memo keys on structure regardless, so neither layer can
     /// alias one query's vector to the other.
     #[test]
     fn textually_tricky_queries_render_distinct_sql_and_cache_separately() {
@@ -3186,55 +3065,6 @@ mod tests {
     }
 
     #[test]
-    fn lowering_cache_capacity_trims_existing_entries() {
-        let (train, relevant) = (train(), relevant());
-        let engine = QueryEngine::new(&train, &relevant);
-        let a = query(AggFunc::Sum, Predicate::True, &["cname"]);
-        let b = query(AggFunc::Avg, Predicate::True, &["cname"]);
-        let c = query(AggFunc::Max, Predicate::True, &["cname"]);
-        engine.evaluate(&a).unwrap();
-        engine.evaluate(&b).unwrap();
-        engine.evaluate(&c).unwrap(); // c is the freshest entry
-        let engine = engine.with_feature_cache_capacity(1);
-        assert_eq!(
-            lock_recover(&engine.core().features).map.len(),
-            1,
-            "shrinking the capacity must release the trimmed entries"
-        );
-        engine.evaluate(&c).unwrap();
-        assert_eq!(
-            engine.stats().feature_cache_hits,
-            1,
-            "the freshest entry must survive"
-        );
-        engine.evaluate(&a).unwrap();
-        assert_eq!(
-            engine.stats().feature_cache_hits,
-            1,
-            "stale entries must be gone"
-        );
-    }
-
-    #[test]
-    fn default_cache_capacity_scales_down_for_large_tables() {
-        assert_eq!(
-            super::default_cache_capacity(100),
-            MAX_FEATURE_CACHE_ENTRIES
-        );
-        // 1M rows x 16 B = 16 MB per entry: the byte budget allows only 4,
-        // the floor of 16 entries wins (a cache smaller than that is useless).
-        assert_eq!(super::default_cache_capacity(1_000_000), 16);
-        // 100k rows x 16 B = 1.6 MB per entry -> 40 fit the 64 MB budget.
-        let mid = super::default_cache_capacity(100_000);
-        assert!((16..MAX_FEATURE_CACHE_ENTRIES).contains(&mid));
-        assert!(
-            mid * 100_000 * std::mem::size_of::<Option<f64>>() <= super::FEATURE_CACHE_BYTES,
-            "within the clamp, the default capacity must respect the byte budget"
-        );
-        assert!(super::default_cache_capacity(0) >= 16);
-    }
-
-    #[test]
     fn env_workers_honours_positive_integers_only() {
         assert_eq!(super::env_workers(Some("4")), Some(4));
         assert_eq!(super::env_workers(Some("1")), Some(1));
@@ -3246,16 +3076,6 @@ mod tests {
         assert_eq!(super::env_workers(Some("two")), None);
         assert_eq!(super::env_workers(Some("")), None);
         assert_eq!(super::env_workers(None), None);
-    }
-
-    #[test]
-    fn zero_capacity_disables_the_feature_cache() {
-        let (train, relevant) = (train(), relevant());
-        let engine = QueryEngine::new(&train, &relevant).with_feature_cache_capacity(0);
-        let q = query(AggFunc::Sum, Predicate::True, &["cname"]);
-        let first = engine.evaluate(&q).unwrap();
-        assert_eq!(engine.evaluate(&q).unwrap(), first);
-        assert_eq!(engine.stats().feature_cache_hits, 0);
     }
 
     #[test]
@@ -3280,7 +3100,7 @@ mod tests {
         );
         assert_eq!(
             stats.feature_cache_hits, 1,
-            "clones must share the feature LRU"
+            "clones must share the feature memo"
         );
         assert_eq!(engine.stats(), clone.stats());
     }
@@ -3438,7 +3258,7 @@ mod tests {
         );
         assert!(
             engine.stats().feature_cache_hits >= 60,
-            "every repeat evaluation must be served from the feature LRU"
+            "every repeat evaluation must be served from the feature memo"
         );
     }
 
@@ -3766,6 +3586,108 @@ mod tests {
         assert_eq!(out[1][2], None);
     }
 
+    fn bits(values: &[Option<f64>]) -> Vec<Option<u64>> {
+        values.iter().map(|v| v.map(f64::to_bits)).collect()
+    }
+
+    #[test]
+    fn evaluate_then_transform_runs_one_aggregation() {
+        let (train, relevant) = (train(), relevant());
+        let engine = QueryEngine::new(&train, &relevant);
+        let q = query(AggFunc::Median, Predicate::ge("ts", 250), &["cname", "mid"]);
+        let evaluated = engine.evaluate(&q).unwrap();
+        let transformed = engine.transform(std::slice::from_ref(&q), &train).unwrap();
+        let stats = engine.stats();
+        assert_eq!(
+            stats.evaluations, 1,
+            "transform must reuse the aggregation evaluate memoized"
+        );
+        assert_eq!(stats.group_features, 1);
+        assert_eq!(bits(&transformed[0]), bits(&evaluated));
+    }
+
+    #[test]
+    fn append_carries_only_served_memo_entries() {
+        let (train, relevant) = (train(), relevant());
+        let base = relevant.take(&[0, 1, 2]);
+        let batch = relevant.take(&[3]);
+        let full = base.concat(&batch).unwrap();
+        // The batch's row (cname=b, mid=m2, department=E) touches both
+        // queries' groups.
+        let searched = query(AggFunc::Sum, Predicate::eq("department", "E"), &["cname"]);
+        let served = query(AggFunc::Avg, Predicate::True, &["cname", "mid"]);
+        let engine = QueryEngine::new(&train, &base);
+        engine.evaluate(&searched).unwrap();
+        engine
+            .transform(std::slice::from_ref(&served), &train)
+            .unwrap();
+        engine.append_relevant(&batch).unwrap();
+        assert_eq!(
+            engine.stats().group_features,
+            1,
+            "only the served entry crosses the epoch boundary"
+        );
+        let before = engine.stats();
+        let transformed = engine
+            .transform(std::slice::from_ref(&served), &train)
+            .unwrap();
+        assert_eq!(
+            engine.stats(),
+            before,
+            "the carried entry must be a pure memo read"
+        );
+
+        let oracle = QueryEngine::new(&train, &full);
+        assert_eq!(
+            bits(&transformed[0]),
+            bits(&oracle.evaluate(&served).unwrap())
+        );
+        assert_eq!(
+            bits(&engine.evaluate(&searched).unwrap()),
+            bits(&oracle.evaluate(&searched).unwrap())
+        );
+    }
+
+    #[test]
+    fn feature_memo_insert_past_budget_drops_only_unserved_entries() {
+        let entry = |agg: AggFunc, groups: usize| {
+            let q = query(agg, Predicate::True, &["cname"]);
+            let feature = GroupFeature {
+                values: Arc::new(vec![None; groups]),
+                query: q.clone(),
+                state: FeatureState::None,
+            };
+            (FeatureMemo::key(&q), Arc::new(feature))
+        };
+        // 16 B per group slot: a four-group entry counts 64 B.
+        let budget = 3 * 64;
+        let mut memo = FeatureMemo::default();
+        let (sum_key, sum) = entry(AggFunc::Sum, 4);
+        let (avg_key, avg) = entry(AggFunc::Avg, 4);
+        let (max_key, max) = entry(AggFunc::Max, 4);
+        memo.insert(sum_key.clone(), sum, true, budget);
+        memo.insert(avg_key.clone(), avg, false, budget);
+        memo.insert(max_key.clone(), max.clone(), false, budget);
+        assert_eq!(memo.bytes, budget);
+
+        // A served insert of a key already present keeps the stored entry
+        // and only raises its flag.
+        let kept = memo.insert(max_key.clone(), entry(AggFunc::Max, 4).1, true, budget);
+        assert!(Arc::ptr_eq(&kept, &max));
+        assert_eq!(memo.bytes, budget);
+
+        // Past the budget: the unserved entry goes, the served ones stay.
+        let (min_key, min) = entry(AggFunc::Min, 2);
+        memo.insert(min_key.clone(), min, false, budget);
+        assert!(memo.get(&avg_key).is_none());
+        for key in [&sum_key, &max_key] {
+            assert!(matches!(memo.get(key), Some((_, true))));
+        }
+        assert!(matches!(memo.get(&min_key), Some((_, false))));
+        assert_eq!(memo.map.len(), 3);
+        assert_eq!(memo.bytes, 64 + 64 + 32);
+    }
+
     #[test]
     fn transform_leaves_unseen_and_null_keys_null() {
         let (train, relevant) = (train(), relevant());
@@ -3867,7 +3789,7 @@ mod tests {
         assert_eq!(
             owned.stats().feature_cache_hits,
             stats_before.feature_cache_hits + 1,
-            "the repeat evaluation must hit the carried-over feature LRU"
+            "the repeat evaluation must hit the carried-over feature memo"
         );
         // And it crosses threads.
         let q2 = query(AggFunc::Avg, Predicate::True, &["cname", "mid"]);

@@ -17,10 +17,10 @@
 //!
 //! Candidate queries are executed through a [`QueryEngine`] — by default a per-generator one,
 //! but [`QueryGenerator::with_engine`] accepts a shared handle so the generator reuses the
-//! group indexes, gather maps, column views and feature LRU the Query Template Identification
+//! group indexes, gather maps, column views and feature memo the Query Template Identification
 //! component already compiled for the same `(train, relevant)` pair (the pipeline wires this
-//! up). The engine's evaluation-level cache also absorbs TPE's near-duplicate resamples: a
-//! config that decodes to an already-evaluated query skips the whole materialisation. The
+//! up). The engine's feature memo also absorbs TPE's near-duplicate resamples: a config that
+//! decodes to an already-evaluated query skips the whole aggregation. The
 //! [`FeatureEvaluator`]'s loss memo then skips the training too: a feature vector the
 //! evaluator already scored, from this template or another, returns its stored loss.
 //!
@@ -154,7 +154,7 @@ impl<'a, 'e> QueryGenerator<'a, 'e> {
 
     /// Build a generator that evaluates candidates through `engine` — a (clone of a) shared
     /// [`QueryEngine`] compiled over the *same* `(train, relevant)` pair as `task`, so the
-    /// compiled group indexes, column views and cached feature vectors of other components are
+    /// compiled group indexes, column views and memoized features of other components are
     /// reused instead of rebuilt. The engine's lifetime is independent of the task borrow
     /// (epoch-versioned engines are invariant in their table lifetime, so a `'static` engine
     /// must not be forced down to the task's).

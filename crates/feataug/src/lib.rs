@@ -38,8 +38,9 @@
 //!   the tables once (no joins, no string keys at evaluation time);
 //! * a **numeric view per column** touched by aggregations or range predicates, plus sorted /
 //!   inverted predicate indexes;
-//! * an **evaluation-level feature LRU**: TPE's near-duplicate resamples skip whole
-//!   evaluations.
+//! * one **feature memo** of per-group aggregates, read by search-time evaluation (TPE's
+//!   near-duplicate resamples skip whole aggregations) and by transform, lookup and serving
+//!   alike.
 //!
 //! Per-worker scratch (selection bitmasks, aggregation buffers) lives in a pool, and
 //! [`exec::QueryEngine::evaluate_batch`] fans candidate pools across a

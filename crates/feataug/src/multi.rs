@@ -206,37 +206,18 @@ impl<'a> MultiAugModel<'a> {
     /// unlikely; a colliding (or pre-existing) column is skipped, exactly
     /// like [`augment_multi`]'s union.
     pub fn transform(&self, table: &Table) -> EngineResult<Table> {
-        transform_union(&self.models, table, None)
-    }
-
-    /// [`MultiAugModel::transform`] under a
-    /// [`feataug_tabular::CancelToken`]: sources run in order and every
-    /// source's aggregations poll the token at the kernel checkpoints, so
-    /// one tripped deadline abandons the whole union mid-source with
-    /// [`crate::exec::EngineError::Cancelled`] instead of finishing the
-    /// remaining relevant tables.
-    pub fn transform_cancel(
-        &self,
-        table: &Table,
-        cancel: &feataug_tabular::CancelToken,
-    ) -> EngineResult<Table> {
-        transform_union(&self.models, table, Some(cancel))
+        transform_union(&self.models, table)
     }
 }
 
 /// Attach the union of `models`' planned features to a copy of `table`,
 /// model by model; a colliding (or pre-existing) column keeps its first
-/// copy. The one union loop behind [`MultiAugModel::transform`],
-/// [`MultiAugModel::transform_cancel`] and
+/// copy. The one union loop behind [`MultiAugModel::transform`] and
 /// [`crate::schema::SchemaAugModel::transform`].
-pub(crate) fn transform_union(
-    models: &[AugModel<'_>],
-    table: &Table,
-    cancel: Option<&feataug_tabular::CancelToken>,
-) -> EngineResult<Table> {
+pub(crate) fn transform_union(models: &[AugModel<'_>], table: &Table) -> EngineResult<Table> {
     let mut augmented = table.clone();
     for model in models {
-        for (name, values) in model.transform_features_with(table, cancel)? {
+        for (name, values) in model.transform_features(table)? {
             let _ = augmented.add_column(name, Column::from_opt_f64s(&values));
         }
     }

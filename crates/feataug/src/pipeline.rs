@@ -29,7 +29,7 @@
 //! [`QueryEngine`]** compiled per fit (i.e. per `(train, relevant)` pair): the
 //! identifier scores every beam-search node through it, and the generator's
 //! warm-up and TPE loops of *all* templates then reuse the group indexes,
-//! gather maps, column views and cached feature vectors beam search already
+//! gather maps, column views and memoized features beam search already
 //! built — and the transform/serve paths keep reusing them after the fit.
 //! [`FeatAugResult::engine_stats`] exposes the cross-component cache reuse;
 //! batch evaluation inside the engine fans candidate pools across a
@@ -52,9 +52,7 @@ use feataug_ml::ModelKind;
 use feataug_tabular::{AggFunc, Column, Table, Value};
 
 use crate::evaluation::FeatureEvaluator;
-use crate::exec::{
-    default_workers, fan_out, workers_for_pool, EngineResult, EngineStats, QueryEngine, TableHandle,
-};
+use crate::exec::{default_workers, fan_out, EngineResult, EngineStats, QueryEngine, TableHandle};
 use crate::generation::{GeneratedQuery, QueryGenerator, SqlGenConfig};
 use crate::problem::{AugTask, AugTaskError};
 use crate::proxy::LowCostProxy;
@@ -398,35 +396,9 @@ impl<'a> AugModel<'a> {
         &self,
         table: &Table,
     ) -> EngineResult<Vec<(String, Vec<Option<f64>>)>> {
-        self.transform_features_with(table, None)
-    }
-
-    /// [`AugModel::transform_features`] under a
-    /// [`feataug_tabular::CancelToken`]: the per-query aggregations and
-    /// gathers poll the token at the kernel checkpoints, so a tripped
-    /// deadline abandons the transform mid-work with
-    /// [`crate::exec::EngineError::Cancelled`].
-    pub fn transform_features_cancel(
-        &self,
-        table: &Table,
-        cancel: &feataug_tabular::CancelToken,
-    ) -> EngineResult<Vec<(String, Vec<Option<f64>>)>> {
-        self.transform_features_with(table, Some(cancel))
-    }
-
-    /// The one feature-transform path behind
-    /// [`AugModel::transform_features`] and
-    /// [`AugModel::transform_features_cancel`].
-    pub(crate) fn transform_features_with(
-        &self,
-        table: &Table,
-        cancel: Option<&feataug_tabular::CancelToken>,
-    ) -> EngineResult<Vec<(String, Vec<Option<f64>>)>> {
         let queries: Vec<PredicateQuery> =
             self.plan.queries.iter().map(|p| p.query.clone()).collect();
-        let features =
-            self.engine
-                .transform_with(&queries, table, workers_for_pool(queries.len()), cancel)?;
+        let features = self.engine.transform(&queries, table)?;
         Ok(queries
             .iter()
             .zip(features)
@@ -632,7 +604,6 @@ impl FeatAug {
             workers,
             "pipeline.generate",
             || (),
-            |()| {},
             |_, scored| Ok(generator.generate(&scored.template, per_template)),
         );
 

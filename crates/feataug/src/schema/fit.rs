@@ -173,7 +173,7 @@ impl SchemaAugModel {
     /// collisions keep the first copy, exactly like
     /// [`crate::multi::MultiAugModel::transform`]).
     pub fn transform(&self, table: &Table) -> EngineResult<Table> {
-        crate::multi::transform_union(&self.models, table, None)
+        crate::multi::transform_union(&self.models, table)
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! [`crate::pipeline::AugModel::serve`] is correct but pays avoidable costs
 //! on every request: it clones each key [`Value`], renders every query's
-//! structural `Debug` key to probe the engine's per-group feature cache, and
+//! structural `Debug` key to probe the engine's feature memo, and
 //! re-resolves each query's key-subset positions. A [`ServingHandle`] hoists
 //! all of that out of the hot path. It is the one prepared serving type:
 //! [`crate::pipeline::AugModel::prepare`] builds it over one engine, and
@@ -451,24 +451,14 @@ impl<'a> ServingHandle<'a> {
         self.lookup_with(key, out, None)
     }
 
-    /// [`ServingHandle::lookup`] under a [`CancelToken`]: the probe loop
-    /// polls the token before each key probe, so a request whose deadline has
-    /// already fired is preempted mid-lookup with
+    /// [`ServingHandle::lookup`] under an optional [`CancelToken`]: check the
+    /// key's arity, route it to its shard, pin that shard's state (following
+    /// a new epoch first if one landed), and run the probe loop. The loop
+    /// polls the token before each key probe, so a request whose deadline
+    /// has already fired is preempted mid-lookup with
     /// [`crate::exec::EngineError::Cancelled`] instead of finishing its
     /// remaining probes — the hook [`tier::ServingTier`] deadlines use to
     /// preempt in-flight work.
-    pub fn lookup_cancel(
-        &self,
-        key: &[Value],
-        out: &mut Vec<Option<f64>>,
-        cancel: &CancelToken,
-    ) -> EngineResult<()> {
-        self.lookup_with(key, out, Some(cancel))
-    }
-
-    /// The one lookup path: check the key's arity, route it to its shard,
-    /// pin that shard's state (following a new epoch first if one landed),
-    /// and run the probe loop.
     // lint: hot-path
     pub(crate) fn lookup_with(
         &self,
@@ -549,7 +539,6 @@ impl<'a> ServingHandle<'a> {
             workers_for_pool(keys.len()),
             "batch lookup",
             || Vec::with_capacity(self.plan.queries.len()),
-            |_| (),
             |row, key| {
                 self.check_arity(key)?;
                 match &pinned[self.route(key)] {

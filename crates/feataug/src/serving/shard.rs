@@ -52,11 +52,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use feataug_tabular::{CancelToken, Column, Table, Value};
+use feataug_tabular::{Column, Table, Value};
 
 use crate::exec::{
-    default_workers, fan_out, lock_recover, panic_message, workers_for_pool, EngineError,
-    EngineResult, Epoch, QueryEngine,
+    default_workers, fan_out, lock_recover, panic_message, EngineError, EngineResult, Epoch,
+    QueryEngine,
 };
 use crate::query::{AugPlan, PredicateQuery};
 use crate::serving::ServingHandle;
@@ -420,30 +420,10 @@ impl ShardRouter {
         query: &PredicateQuery,
         key_values: &[Value],
     ) -> EngineResult<Option<f64>> {
-        self.lookup_with(query, key_values, None)
-    }
-
-    /// [`ShardRouter::lookup`] under a [`CancelToken`]: the owning shard's
-    /// first aggregation polls the token at the kernel checkpoints.
-    pub fn lookup_cancel(
-        &self,
-        query: &PredicateQuery,
-        key_values: &[Value],
-        cancel: &CancelToken,
-    ) -> EngineResult<Option<f64>> {
-        self.lookup_with(query, key_values, Some(cancel))
-    }
-
-    fn lookup_with(
-        &self,
-        query: &PredicateQuery,
-        key_values: &[Value],
-        cancel: Option<&CancelToken>,
-    ) -> EngineResult<Option<f64>> {
         let engine = &self.shards[self.shard_of_query_key(&query.group_keys, key_values)?];
         match catch_unwind(AssertUnwindSafe(|| {
             crate::fail_point!("shard.route");
-            engine.lookup_pinned(&engine.core(), query, key_values, cancel)
+            engine.lookup(query, key_values)
         })) {
             Ok(result) => result,
             Err(payload) => Err(EngineError::WorkerPanic {
@@ -465,31 +445,9 @@ impl ShardRouter {
         queries: &[PredicateQuery],
         table: &Table,
     ) -> EngineResult<Vec<Vec<Option<f64>>>> {
-        self.transform_with(queries, table, None)
-    }
-
-    /// [`ShardRouter::transform`] under a [`CancelToken`]: every shard's
-    /// aggregation and gather poll the token, so one tripped deadline
-    /// abandons the fan-out mid-work.
-    pub fn transform_cancel(
-        &self,
-        queries: &[PredicateQuery],
-        table: &Table,
-        cancel: &CancelToken,
-    ) -> EngineResult<Vec<Vec<Option<f64>>>> {
-        self.transform_with(queries, table, Some(cancel))
-    }
-
-    fn transform_with(
-        &self,
-        queries: &[PredicateQuery],
-        table: &Table,
-        cancel: Option<&CancelToken>,
-    ) -> EngineResult<Vec<Vec<Option<f64>>>> {
-        let workers = workers_for_pool(queries.len());
         if self.shards.len() == 1 {
             // Degenerate single-shard router: today's path, byte for byte.
-            return self.shards[0].transform_with(queries, table, workers, cancel);
+            return self.shards[0].transform(queries, table);
         }
         let buckets = partition_rows(table, &self.shard_keys, self.shards.len())?;
         let jobs: Vec<(usize, Vec<usize>)> = buckets
@@ -502,11 +460,10 @@ impl ShardRouter {
             default_workers().min(jobs.len().max(1)),
             "shard transform",
             || (),
-            |_| (),
             |_, (shard, rows)| {
                 crate::fail_point!("shard.route");
                 let sub = table.take_with_dict(rows);
-                self.shards[*shard].transform_with(queries, &sub, workers, cancel)
+                self.shards[*shard].transform(queries, &sub)
             },
         );
         let mut out: Vec<Vec<Option<f64>>> = queries

@@ -179,14 +179,13 @@ pub fn lock_discipline(model: &FileModel<'_>) -> Vec<Finding> {
 /// Rank 0: `ingest` (the ingestion serialization mutex) — outermost.
 /// Rank 1: `current` (the `EpochCell` swap mutex).
 /// Rank 2: memo maps (`views`, `groups`, `sorted`, `cats`, `order`,
-///         `group_feats`, `features`) and the tier `queue` — innermost.
+///         `group_feats`) and the tier `queue` — innermost.
 pub fn lock_order(model: &FileModel<'_>) -> Vec<Finding> {
     fn rank(name: &str) -> Option<u8> {
         match name {
             "ingest" => Some(0),
             "current" => Some(1),
-            "views" | "groups" | "sorted" | "cats" | "order" | "group_feats" | "features"
-            | "queue" => Some(2),
+            "views" | "groups" | "sorted" | "cats" | "order" | "group_feats" | "queue" => Some(2),
             _ => None,
         }
     }

@@ -105,7 +105,7 @@ proptest! {
     /// Parallel batch evaluation must be bit-identical — NULL/NaN placement included — to the
     /// serial engine AND to the naive `PredicateQuery::augment` reference, at every worker
     /// count, over randomized query pools on arbitrary generated datasets. Pools are sampled
-    /// with repetition-prone codecs, so the engine's feature LRU is exercised too.
+    /// with repetition-prone codecs, so the engine's feature memo is exercised too.
     #[test]
     fn batch_evaluation_is_bit_identical_across_thread_counts(
         seed in 0u64..10_000,

@@ -83,10 +83,10 @@ fn one_engine_serves_qti_generation_and_baselines() {
         "baselines must reuse the compiled group indexes ({after_baselines:?})"
     );
     // TPE resampling plus the baselines' full-key trivial queries overlapping QTI's pool make
-    // evaluation-level cache hits all but certain across this many evaluations.
+    // feature-memo hits all but certain across this many evaluations.
     assert!(
         after_baselines.feature_cache_hits > 0,
-        "expected cross-component feature-LRU reuse ({after_baselines:?})"
+        "expected cross-component feature-memo reuse ({after_baselines:?})"
     );
 }
 
