@@ -52,8 +52,8 @@
 //! [`feataug::ShardRouter`]: `shard_lookups_per_sec` is the warm routed
 //! hot path (hash + owning-shard probe on top of the prepared lookup),
 //! `shard_count` records the partition width, and `cancelled_rate` counts
-//! the closed-loop tier requests a `CancelToken` preempted *mid-lookup*
-//! under tight deadlines (0.0 when warm lookups beat the deadline — the
+//! the closed-loop tier requests whose tight deadline passed inside the
+//! lookup's probe loop (0.0 when warm lookups beat the deadline — the
 //! field exists so the trajectory is visible once they don't).
 //!
 //! The schema section exercises the multi-hop front end on the generated
@@ -494,12 +494,12 @@ fn main() {
     // `shard_lookups_per_sec` measures what the routing hash + owning-shard
     // probe add to the unsharded warm path; then a closed-loop tier drives
     // the same sharded model with every 8th request under a tight deadline.
-    // `cancelled_rate` counts only the preemptions a `CancelToken` fired
-    // *mid-lookup* (as opposed to deadlines observed at a batch boundary,
+    // `cancelled_rate` counts only the deadlines the probe loop caught
+    // mid-lookup (as opposed to deadlines observed at a batch boundary,
     // which degrade without cancelling) — 0.0 is a legitimate reading when
     // warm lookups beat the deadline, but the field must exist and be finite
-    // so the trajectory is recorded once lookups get expensive enough to
-    // preempt.
+    // so the trajectory is recorded once lookups get slow enough to run
+    // past it.
     const SHARD_COUNT: usize = 4;
     let shard_planned: Vec<PlannedQuery> = dfs
         .iter()

@@ -155,7 +155,7 @@ use feataug_tabular::kernels::{
     StreamDelta,
 };
 use feataug_tabular::selection::{fill_eq, fill_range_view, SelectionMask};
-use feataug_tabular::{AggFunc, CancelToken, Column, Predicate, Table, Value};
+use feataug_tabular::{AggFunc, Column, Predicate, Table, Value};
 
 use crate::query::PredicateQuery;
 
@@ -207,24 +207,6 @@ fn effective_fan_out_workers(requested: usize, items_len: usize, hardware: usize
         return 1;
     }
     requested.max(1).min(items_len.max(1))
-}
-
-/// Groups finalized between [`CancelToken`] polls inside the aggregation
-/// loops. Small enough that a deadline preempts a slow kernel mid-request,
-/// large enough that the relaxed-load poll is noise per group.
-pub(crate) const CANCEL_GROUP_STRIDE: usize = 64;
-
-/// Poll `cancel` at a kernel/gather checkpoint. A request without a token
-/// (every search-time evaluation, every deadline-less lookup) returns
-/// immediately — the `kernel.cancel` failpoint is only evaluated when a
-/// token is actually present, so arming it never perturbs plain traffic.
-#[inline]
-pub(crate) fn cancel_checkpoint(
-    cancel: Option<&CancelToken>,
-) -> Result<(), feataug_tabular::Cancelled> {
-    let Some(token) = cancel else { return Ok(()) };
-    crate::fail_point!("kernel.cancel");
-    token.check()
 }
 
 /// The worker count batch evaluation uses when none is given explicitly: the
@@ -323,10 +305,10 @@ pub enum EngineError {
         /// The panic payload, rendered.
         message: String,
     },
-    /// The request's [`feataug_tabular::CancelToken`] tripped — a deadline
-    /// fired or the caller cancelled — and the engine abandoned the work
-    /// mid-kernel. Distinct from a failure: the serving tier maps it onto
-    /// its graceful-degradation path (all-NULL features).
+    /// The request's deadline passed before a serving lookup's probe loop
+    /// finished, and the lookup stopped before its next key probe. Distinct
+    /// from a failure: the serving tier maps it onto its graceful-degradation
+    /// path (all-NULL features).
     Cancelled,
 }
 
@@ -348,9 +330,7 @@ impl std::fmt::Display for EngineError {
             EngineError::WorkerPanic { context, message } => {
                 write!(f, "worker panicked in {context}: {message}")
             }
-            EngineError::Cancelled => {
-                write!(f, "request cancelled by deadline or explicit cancellation")
-            }
+            EngineError::Cancelled => write!(f, "request deadline passed mid-lookup"),
         }
     }
 }
@@ -361,12 +341,6 @@ impl std::error::Error for EngineError {
             EngineError::Tabular(e) => Some(e),
             EngineError::WorkerPanic { .. } | EngineError::Cancelled => None,
         }
-    }
-}
-
-impl From<feataug_tabular::Cancelled> for EngineError {
-    fn from(_: feataug_tabular::Cancelled) -> EngineError {
-        EngineError::Cancelled
     }
 }
 
@@ -1116,21 +1090,7 @@ impl<'a> QueryEngine<'a> {
     /// execute-then-left-join path would produce: the memoized per-group
     /// feature, gathered through the training table's row → group map.
     pub fn evaluate(&self, query: &PredicateQuery) -> EngineResult<Vec<Option<f64>>> {
-        self.evaluate_in(&self.core(), query, None)
-    }
-
-    /// [`QueryEngine::evaluate`] under a [`CancelToken`]: the kernel and
-    /// gather loops poll the token at their checkpoints (every
-    /// `CANCEL_GROUP_STRIDE` groups and at phase boundaries) and abandon
-    /// the evaluation with [`EngineError::Cancelled`] the moment it trips —
-    /// mid-kernel, not at the next batch boundary. Cancelled evaluations are
-    /// never memoized.
-    pub fn evaluate_cancel(
-        &self,
-        query: &PredicateQuery,
-        cancel: &CancelToken,
-    ) -> EngineResult<Vec<Option<f64>>> {
-        self.evaluate_in(&self.core(), query, Some(cancel))
+        self.evaluate_in(&self.core(), query)
     }
 
     /// The one `evaluate` path, against a pinned epoch. Search-time entries
@@ -1139,10 +1099,9 @@ impl<'a> QueryEngine<'a> {
         &self,
         core: &EngineCore<'a>,
         query: &PredicateQuery,
-        cancel: Option<&CancelToken>,
     ) -> EngineResult<Vec<Option<f64>>> {
         self.shared.evaluations.fetch_add(1, Ordering::Relaxed);
-        let (gi, entry, hit) = self.memo_entry(core, query, false, cancel)?;
+        let (gi, entry, hit) = self.memo_entry(core, query, false)?;
         if hit {
             self.shared.cache_hits.fetch_add(1, Ordering::Relaxed);
         }
@@ -1184,7 +1143,7 @@ impl<'a> QueryEngine<'a> {
             workers,
             "batch evaluation",
             || (),
-            |_, query| self.evaluate_in(&core, query, None),
+            |_, query| self.evaluate_in(&core, query),
         )
     }
 
@@ -1225,18 +1184,12 @@ impl<'a> QueryEngine<'a> {
     /// is the transform/serve workhorse: the aggregation runs once per query
     /// per epoch, and every later transform (over any table) or point lookup
     /// is a memo read that moves no counter. The entry is marked served.
-    ///
-    /// A memo hit costs one probe and never polls `cancel`; a miss runs the
-    /// aggregation with the token threaded through the kernel checkpoints,
-    /// and a preempted build is not memoized (the next request
-    /// re-evaluates).
     pub(crate) fn group_feature(
         &self,
         core: &EngineCore<'a>,
         query: &PredicateQuery,
-        cancel: Option<&CancelToken>,
     ) -> EngineResult<SharedGroupFeature> {
-        let (gi, entry, hit) = self.memo_entry(core, query, true, cancel)?;
+        let (gi, entry, hit) = self.memo_entry(core, query, true)?;
         if !hit {
             self.shared.evaluations.fetch_add(1, Ordering::Relaxed);
         }
@@ -1251,7 +1204,6 @@ impl<'a> QueryEngine<'a> {
         core: &EngineCore<'a>,
         query: &PredicateQuery,
         served: bool,
-        cancel: Option<&CancelToken>,
     ) -> EngineResult<(Arc<GroupIndex>, Arc<GroupFeature>, bool)> {
         let gi = core.group_index(&self.train, &query.group_keys)?;
         let key = FeatureMemo::key(query);
@@ -1262,7 +1214,7 @@ impl<'a> QueryEngine<'a> {
             Some((entry, flag)) if flag || !served => return Ok((gi, entry, true)),
             Some((entry, _)) => (entry, true),
             None => {
-                let values = self.materialize_group_feature(core, query, &gi, cancel)?;
+                let values = self.materialize_group_feature(core, query, &gi)?;
                 let entry = GroupFeature {
                     query: query.clone(),
                     values,
@@ -1283,10 +1235,9 @@ impl<'a> QueryEngine<'a> {
         core: &EngineCore<'a>,
         query: &PredicateQuery,
         gi: &GroupIndex,
-        cancel: Option<&CancelToken>,
     ) -> EngineResult<Arc<Vec<Option<f64>>>> {
         let mut scratch = self.take_scratch();
-        let result = core.aggregate_into_scratch(&mut scratch, query, gi, cancel);
+        let result = core.aggregate_into_scratch(&mut scratch, query, gi);
         if let Err(e) = result {
             self.put_scratch(scratch);
             return Err(e);
@@ -1344,7 +1295,7 @@ impl<'a> QueryEngine<'a> {
         queries: &[PredicateQuery],
         table: &Table,
     ) -> EngineResult<Vec<Vec<Option<f64>>>> {
-        self.transform_with(queries, table, workers_for_pool(queries.len()), None)
+        self.transform_threads(queries, table, workers_for_pool(queries.len()))
     }
 
     /// [`QueryEngine::transform`] with an explicit worker count (clamped to
@@ -1361,37 +1312,6 @@ impl<'a> QueryEngine<'a> {
         table: &Table,
         workers: usize,
     ) -> EngineResult<Vec<Vec<Option<f64>>>> {
-        self.transform_with(queries, table, workers, None)
-    }
-
-    /// [`QueryEngine::transform`] under a [`CancelToken`]: every query's
-    /// aggregation (on memo miss) and per-row gather poll the token at the
-    /// kernel/gather checkpoints, so one tripped deadline abandons the whole
-    /// transform with [`EngineError::Cancelled`] mid-work.
-    pub fn transform_cancel(
-        &self,
-        queries: &[PredicateQuery],
-        table: &Table,
-        cancel: &CancelToken,
-    ) -> EngineResult<Vec<Vec<Option<f64>>>> {
-        self.transform_with(
-            queries,
-            table,
-            workers_for_pool(queries.len()),
-            Some(cancel),
-        )
-    }
-
-    /// The one transform path behind [`QueryEngine::transform`],
-    /// [`QueryEngine::transform_threads`] and
-    /// [`QueryEngine::transform_cancel`].
-    fn transform_with(
-        &self,
-        queries: &[PredicateQuery],
-        table: &Table,
-        workers: usize,
-        cancel: Option<&CancelToken>,
-    ) -> EngineResult<Vec<Vec<Option<f64>>>> {
         // Pin one epoch for the whole transform: gather maps, group indexes
         // and per-group features all resolve against the same snapshot even
         // if appends land mid-call.
@@ -1399,7 +1319,6 @@ impl<'a> QueryEngine<'a> {
         let mut maps: HashMap<&[String], Arc<Vec<Option<u32>>>> = HashMap::new();
         for query in queries {
             if !maps.contains_key(query.group_keys.as_slice()) {
-                cancel_checkpoint(cancel)?;
                 let gi = core.group_index(&self.train, &query.group_keys)?;
                 let built = Arc::new(Self::gather_map(&core, table, &query.group_keys, &gi)?);
                 maps.insert(query.group_keys.as_slice(), built);
@@ -1415,8 +1334,7 @@ impl<'a> QueryEngine<'a> {
             || (),
             |_, query| -> EngineResult<Vec<Option<f64>>> {
                 crate::fail_point!("exec.gather");
-                let (_, feats) = self.group_feature(&core, query, cancel)?;
-                cancel_checkpoint(cancel)?;
+                let (_, feats) = self.group_feature(&core, query)?;
                 Ok(gather(&maps[query.group_keys.as_slice()], &feats))
             },
         )
@@ -1436,31 +1354,17 @@ impl<'a> QueryEngine<'a> {
         query: &PredicateQuery,
         key_values: &[Value],
     ) -> EngineResult<Option<f64>> {
-        self.lookup_pinned(&self.core(), query, key_values, None)
+        self.lookup_pinned(&self.core(), query, key_values)
     }
 
-    /// [`QueryEngine::lookup`] under a [`CancelToken`]: the first lookup of a
-    /// query pays its aggregation with the token threaded through the kernel
-    /// checkpoints, so a deadline preempts it mid-kernel with
-    /// [`EngineError::Cancelled`]; warm lookups stay two hash probes.
-    pub fn lookup_cancel(
-        &self,
-        query: &PredicateQuery,
-        key_values: &[Value],
-        cancel: &CancelToken,
-    ) -> EngineResult<Option<f64>> {
-        self.lookup_pinned(&self.core(), query, key_values, Some(cancel))
-    }
-
-    /// [`QueryEngine::lookup`] against an explicitly pinned epoch, under an
-    /// optional token — the form [`crate::pipeline::AugModel::serve`] uses
-    /// so a multi-query request observes one consistent snapshot.
+    /// [`QueryEngine::lookup`] against an explicitly pinned epoch — the form
+    /// [`crate::pipeline::AugModel::serve`] uses so a multi-query request
+    /// observes one consistent snapshot.
     pub(crate) fn lookup_pinned(
         &self,
         core: &EngineCore<'a>,
         query: &PredicateQuery,
         key_values: &[Value],
-        cancel: Option<&CancelToken>,
     ) -> EngineResult<Option<f64>> {
         if key_values.len() != query.group_keys.len() {
             return Err(feataug_tabular::TabularError::InvalidArgument(format!(
@@ -1470,7 +1374,7 @@ impl<'a> QueryEngine<'a> {
             ))
             .into());
         }
-        let (gi, feats) = self.group_feature(core, query, cancel)?;
+        let (gi, feats) = self.group_feature(core, query)?;
         let mut key = Vec::with_capacity(key_values.len());
         for (column, value) in query.group_keys.iter().zip(key_values) {
             match core.serve_atom(column, value)? {
@@ -1702,7 +1606,7 @@ impl<'a> QueryEngine<'a> {
                     let gi = core.group_index(&self.train, &gf.query.group_keys)?;
                     Arc::new(GroupFeature {
                         query: gf.query.clone(),
-                        values: self.materialize_group_feature(&core, &gf.query, &gi, None)?,
+                        values: self.materialize_group_feature(&core, &gf.query, &gi)?,
                         state: FeatureState::None,
                     })
                 }
@@ -1757,7 +1661,7 @@ impl<'a> QueryEngine<'a> {
         let trivial = query.predicate.is_trivial();
 
         if !trivial && matches!(core.relevant.column(&query.agg_column)?, Column::Cat(_)) {
-            let values = self.materialize_group_feature(core, query, gi, None)?;
+            let values = self.materialize_group_feature(core, query, gi)?;
             return Ok(Arc::new(GroupFeature {
                 query: query.clone(),
                 values,
@@ -2325,10 +2229,8 @@ impl<'a> EngineCore<'a> {
         scratch: &mut EvalScratch,
         query: &PredicateQuery,
         gi: &GroupIndex,
-        cancel: Option<&CancelToken>,
     ) -> EngineResult<()> {
         crate::fail_point!("exec.kernel");
-        cancel_checkpoint(cancel)?;
         let view = self.view(&query.agg_column)?;
         let trivial = query.predicate.is_trivial();
         if !trivial {
@@ -2336,7 +2238,6 @@ impl<'a> EngineCore<'a> {
                 mask, scratch: tmp, ..
             } = scratch;
             self.predicate_mask(&query.predicate, mask, tmp)?;
-            cancel_checkpoint(cancel)?;
         }
 
         // The reference path materialises the filtered table, and
@@ -2359,11 +2260,8 @@ impl<'a> EngineCore<'a> {
                 // Re-interned codes are query-local, so the memoized order
                 // index does not apply; the dictionary-code frequency kernel
                 // (and a per-bucket sort for MEDIAN/MAD) covers this path.
-                let result = aggregate_groups(
-                    scratch, gi, &cat_view, query.agg, trivial, None, true, cancel,
-                );
+                aggregate_groups(scratch, gi, &cat_view, query.agg, trivial, None, true);
                 scratch.cat_view = cat_view;
-                result?;
             } else {
                 let order = self.agg_order_index(query, gi, &view, Some(&scratch.mask));
                 aggregate_groups(
@@ -2374,8 +2272,7 @@ impl<'a> EngineCore<'a> {
                     trivial,
                     order.as_deref(),
                     false,
-                    cancel,
-                )?;
+                );
             }
         } else {
             let order = self.agg_order_index(query, gi, &view, None);
@@ -2387,8 +2284,7 @@ impl<'a> EngineCore<'a> {
                 trivial,
                 order.as_deref(),
                 false,
-                cancel,
-            )?;
+            );
         }
         Ok(())
     }
@@ -2520,17 +2416,6 @@ fn remapped_cat_view(
 /// order (the order the reference's sort produces), so every kernel output
 /// matches `AggFunc::apply` over the same group bit for bit — the property
 /// suites enforce it.
-///
-/// `cancel` (if any) is polled between visit passes and every
-/// [`CANCEL_GROUP_STRIDE`] groups inside the finalize loops — the visit
-/// closures run under `for_each_set` and cannot early-exit, so phase
-/// boundaries plus per-group finalize strides are the preemption points. On
-/// `Err(Cancelled)` the scratch invariant (`sel_count` all-zero) is restored
-/// before returning, so a preempted worker's scratch can be pooled again.
-// The kernel dispatcher's natural signature: scratch + index + view + the
-// dispatch flags + the cancel token. Bundling them into a struct would be
-// built and torn down per query for no reader benefit.
-#[allow(clippy::too_many_arguments)]
 fn aggregate_groups(
     scratch: &mut EvalScratch,
     gi: &GroupIndex,
@@ -2539,31 +2424,7 @@ fn aggregate_groups(
     trivial: bool,
     order: Option<&OrderIndex>,
     codes: bool,
-    cancel: Option<&CancelToken>,
-) -> Result<(), feataug_tabular::Cancelled> {
-    let result = aggregate_groups_inner(scratch, gi, view, agg, trivial, order, codes, cancel);
-    if result.is_err() {
-        // A preempted aggregation abandoned its partial results; re-zero
-        // `sel_count` over the touched groups so the scratch invariant holds.
-        for &g in scratch.touched.iter() {
-            scratch.sel_count[g as usize] = 0;
-        }
-        scratch.touched.clear();
-    }
-    result
-}
-
-#[allow(clippy::too_many_arguments)]
-fn aggregate_groups_inner(
-    scratch: &mut EvalScratch,
-    gi: &GroupIndex,
-    view: &[Option<f64>],
-    agg: AggFunc,
-    trivial: bool,
-    order: Option<&OrderIndex>,
-    codes: bool,
-    cancel: Option<&CancelToken>,
-) -> Result<(), feataug_tabular::Cancelled> {
+) {
     let n_groups = gi.n_groups;
     let EvalScratch {
         mask,
@@ -2643,16 +2504,12 @@ fn aggregate_groups_inner(
                     }
                 }
             };
-            cancel_checkpoint(cancel)?;
             if trivial {
                 (0..group_of_row.len()).for_each(&mut visit);
             } else {
                 mask.for_each_set(&mut visit);
             }
-            for (i, &g) in touched.iter().enumerate() {
-                if i % CANCEL_GROUP_STRIDE == 0 {
-                    cancel_checkpoint(cancel)?;
-                }
+            for &g in touched.iter() {
                 let g = g as usize;
                 let n = nonnull[g];
                 group_out[g] = match agg {
@@ -2683,7 +2540,6 @@ fn aggregate_groups_inner(
                     acc[g] += v;
                 }
             };
-            cancel_checkpoint(cancel)?;
             if trivial {
                 (0..group_of_row.len()).for_each(&mut sum_visit);
             } else {
@@ -2700,7 +2556,6 @@ fn aggregate_groups_inner(
                 m4[g] = 0.0;
             }
             // Pass 2: centred power sums, same row order.
-            cancel_checkpoint(cancel)?;
             let wants_m4 = agg == AggFunc::Kurtosis;
             let mut dev_visit = |row: usize| {
                 if let Some(v) = view[row] {
@@ -2716,10 +2571,7 @@ fn aggregate_groups_inner(
             } else {
                 mask.for_each_set(&mut dev_visit);
             }
-            for (i, &g) in touched.iter().enumerate() {
-                if i % CANCEL_GROUP_STRIDE == 0 {
-                    cancel_checkpoint(cancel)?;
-                }
+            for &g in touched.iter() {
                 let g = g as usize;
                 group_out[g] = moment_finalize(agg, nonnull[g] as usize, m2[g], m4[g]);
             }
@@ -2737,7 +2589,6 @@ fn aggregate_groups_inner(
                     nonnull[g] += 1;
                 }
             };
-            cancel_checkpoint(cancel)?;
             if trivial {
                 (0..group_of_row.len()).for_each(&mut presence_visit);
             } else {
@@ -2746,10 +2597,7 @@ fn aggregate_groups_inner(
 
             if let Some(order) = order {
                 // Selection-aware merge over the pre-sorted group runs.
-                for (i, &g) in touched.iter().enumerate() {
-                    if i % CANCEL_GROUP_STRIDE == 0 {
-                        cancel_checkpoint(cancel)?;
-                    }
+                for &g in touched.iter() {
                     let g = g as usize;
                     let (rows, vals) = order.run(g, merge_rows, merge_vals);
                     let selected: &[f64] = if trivial {
@@ -2765,7 +2613,7 @@ fn aggregate_groups_inner(
                     };
                     group_out[g] = order_stat_value(agg, selected, dev_buf);
                 }
-                return Ok(());
+                return;
             }
 
             // No precompiled runs (sparse selection, or query-local
@@ -2785,17 +2633,13 @@ fn aggregate_groups_inner(
                     cursors[g] += 1;
                 }
             };
-            cancel_checkpoint(cancel)?;
             if trivial {
                 (0..group_of_row.len()).for_each(&mut scatter_visit);
             } else {
                 mask.for_each_set(&mut scatter_visit);
             }
             // cursors[g] now points one past group g's bucket.
-            for (i, &g) in touched.iter().enumerate() {
-                if i % CANCEL_GROUP_STRIDE == 0 {
-                    cancel_checkpoint(cancel)?;
-                }
+            for &g in touched.iter() {
                 let g = g as usize;
                 let end = cursors[g] as usize;
                 let bucket = &mut scatter[end - nonnull[g] as usize..end];
@@ -2824,7 +2668,6 @@ fn aggregate_groups_inner(
             }
         }
     }
-    Ok(())
 }
 
 /// Evaluate an order-statistic aggregate over one group's selected values,
@@ -3451,54 +3294,6 @@ mod tests {
         assert_eq!(super::pool_workers(8, 1000), 8);
         assert_eq!(super::pool_workers(2, 1000), 2);
         assert_eq!(super::pool_workers(1, 9), 1);
-    }
-
-    #[test]
-    fn evaluate_cancel_preempts_and_untripped_token_is_bit_identical() {
-        let (train, relevant) = (train(), relevant());
-        let engine = QueryEngine::new(&train, &relevant);
-        let queries = [
-            query(AggFunc::Sum, Predicate::eq("department", "E"), &["cname"]),
-            query(AggFunc::Median, Predicate::ge("ts", 250), &["cname", "mid"]),
-            query(AggFunc::Var, Predicate::True, &["mid"]),
-        ];
-        for q in &queries {
-            // A tripped token preempts before any result; nothing is cached,
-            // so a later plain evaluate still works and matches an untripped
-            // cancel-aware evaluate bit for bit.
-            let tripped = CancelToken::new();
-            tripped.cancel();
-            assert!(matches!(
-                engine.evaluate_cancel(q, &tripped),
-                Err(EngineError::Cancelled)
-            ));
-            let live = CancelToken::new();
-            let with_token = engine.evaluate_cancel(q, &live).unwrap();
-            let plain = engine.evaluate(q).unwrap();
-            assert_eq!(with_token, plain, "{}", q.to_sql("R"));
-        }
-        // lookup_cancel: preempted cold, correct warm.
-        let q = &queries[0];
-        let tripped = CancelToken::new();
-        tripped.cancel();
-        let fresh = QueryEngine::new(&train, &relevant);
-        assert!(matches!(
-            fresh.lookup_cancel(q, &[Value::Str("a".into())], &tripped),
-            Err(EngineError::Cancelled)
-        ));
-        let live = CancelToken::new();
-        assert_eq!(
-            fresh
-                .lookup_cancel(q, &[Value::Str("a".into())], &live)
-                .unwrap(),
-            fresh.lookup(q, &[Value::Str("a".into())]).unwrap()
-        );
-        // transform_cancel matches transform on the same pinned epoch.
-        let live = CancelToken::new();
-        assert_eq!(
-            fresh.transform_cancel(&queries, &train, &live).unwrap(),
-            fresh.transform(&queries, &train).unwrap()
-        );
     }
 
     #[test]

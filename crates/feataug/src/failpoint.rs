@@ -20,10 +20,10 @@
 //! |                     | inside the panic-contained region                 |
 //! | `exec.ingest.publish` | end of the epoch build, just before the swap    |
 //! |                     | publishes it (still panic-contained)              |
-//! | `kernel.cancel`     | every cancellation checkpoint (kernel strides,    |
-//! |                     | gather loops, serving probes) — but **only** when |
-//! |                     | the work runs under a `CancelToken`; plain        |
-//! |                     | traffic never evaluates it                        |
+//! | `serving.deadline`  | the serving probe loop's deadline check, before   |
+//! |                     | each key probe — **only** for requests that carry |
+//! |                     | a deadline; deadline-free lookups never evaluate  |
+//! |                     | it                                                |
 //! | `serving.lookup`    | [`crate::serving::ServingHandle::lookup`]'s probe |
 //! |                     | loop                                              |
 //! | `shard.route`       | routed lookups of a handle with several shards,   |

@@ -191,9 +191,9 @@
 //! // Routed lookups are bit-identical to the unsharded path; appends split
 //! // by the same hash, each shard publishing its own epochs under a single
 //! // router generation. `router.prepare` builds the same `ServingHandle` as
-//! // `model.prepare`, one entry per shard, so the tier serves it as is, and
-//! // per-request deadlines preempt a slow lookup *mid-kernel* through
-//! // cancellation checkpoints (surfacing as the same all-NULL degradation
+//! // `model.prepare`, one entry per shard, so the tier serves it as is. A
+//! // request's deadline is checked before each key probe, so a lookup that
+//! // runs past it stops there (surfacing as the same all-NULL degradation
 //! // as a deadline observed at a batch boundary).
 //! use feataug::ShardRouter;
 //! let plan = model.plan().clone();

@@ -480,7 +480,7 @@ impl<'a> AugModel<'a> {
                     subset.push(key[position].clone());
                 }
                 self.engine
-                    .lookup_pinned(&core, &planned.query, &subset, None)
+                    .lookup_pinned(&core, &planned.query, &subset)
                     .map(|v| v.filter(|x| x.is_finite()))
             })
             .collect()

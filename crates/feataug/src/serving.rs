@@ -59,12 +59,13 @@ pub mod tier;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
+use std::time::Instant;
 
 use feataug_tabular::groupby::KeyAtom;
-use feataug_tabular::{CancelToken, Column, Value};
+use feataug_tabular::{Column, Value};
 
 use crate::exec::{
-    cancel_checkpoint, fan_out, workers_for_pool, EngineCore, EngineResult, EpochCell, GroupIndex,
+    fan_out, workers_for_pool, EngineCore, EngineError, EngineResult, EpochCell, GroupIndex,
     QueryEngine,
 };
 use crate::query::AugPlan;
@@ -207,7 +208,7 @@ impl PreparedState {
         type SubsetGroup = (Vec<String>, Arc<GroupIndex>, Vec<FeatureSlot>);
         let mut grouped: Vec<SubsetGroup> = Vec::new();
         for (out_pos, planned) in plan.queries.iter().enumerate() {
-            let (index, feats) = engine.group_feature(core, &planned.query, None)?;
+            let (index, feats) = engine.group_feature(core, &planned.query)?;
             let keys = &planned.query.group_keys;
             let slot = FeatureSlot { out_pos, feats };
             match grouped.iter_mut().find(|(subset, _, _)| subset == keys) {
@@ -265,21 +266,27 @@ impl PreparedState {
     }
 
     /// The probe loop: `out` is cleared and refilled in plan order, one
-    /// group-id probe per distinct key subset. Without a token (`cancel` =
-    /// `None` — every search-time and deadline-less path) the checkpoint is
-    /// a skipped branch; with one, each probe boundary is a preemption point.
+    /// group-id probe per distinct key subset. A request with a `deadline`
+    /// checks it before each probe and stops with
+    /// [`EngineError::Cancelled`] once it has passed; without one (every
+    /// direct lookup) the check is a skipped branch.
     // lint: hot-path
     fn probe(
         &self,
         key: &[Value],
         out: &mut Vec<Option<f64>>,
-        cancel: Option<&CancelToken>,
+        deadline: Option<Instant>,
     ) -> EngineResult<()> {
         crate::fail_point!("serving.lookup");
         out.clear();
         out.resize(self.slots.len(), None);
         for probe in &self.probes {
-            cancel_checkpoint(cancel)?;
+            if let Some(deadline) = deadline {
+                crate::fail_point!("serving.deadline");
+                if Instant::now() >= deadline {
+                    return Err(EngineError::Cancelled);
+                }
+            }
             let group = probe.group_of(key);
             for slot in &self.slots[probe.slots.start..probe.slots.end] {
                 out[slot.out_pos] = group
@@ -451,24 +458,23 @@ impl<'a> ServingHandle<'a> {
         self.lookup_with(key, out, None)
     }
 
-    /// [`ServingHandle::lookup`] under an optional [`CancelToken`]: check the
-    /// key's arity, route it to its shard, pin that shard's state (following
-    /// a new epoch first if one landed), and run the probe loop. The loop
-    /// polls the token before each key probe, so a request whose deadline
-    /// has already fired is preempted mid-lookup with
-    /// [`crate::exec::EngineError::Cancelled`] instead of finishing its
-    /// remaining probes — the hook [`tier::ServingTier`] deadlines use to
-    /// preempt in-flight work.
+    /// [`ServingHandle::lookup`] under an optional deadline: check the key's
+    /// arity, route it to its shard, pin that shard's state (following a new
+    /// epoch first if one landed), and run the probe loop. The loop checks
+    /// the deadline before each key probe, so a request whose deadline has
+    /// passed stops with [`EngineError::Cancelled`] instead of finishing its
+    /// remaining probes — how [`tier::ServingTier`] enforces deadlines on
+    /// work already under way.
     // lint: hot-path
     pub(crate) fn lookup_with(
         &self,
         key: &[Value],
         out: &mut Vec<Option<f64>>,
-        cancel: Option<&CancelToken>,
+        deadline: Option<Instant>,
     ) -> EngineResult<()> {
         self.check_arity(key)?;
         let state = self.shards[self.route(key)].current_state(&self.plan)?;
-        state.probe(key, out, cancel)
+        state.probe(key, out, deadline)
     }
 
     /// Index of the shard owning `key` (arity already checked): 0 with one
@@ -723,6 +729,7 @@ mod tests {
         let (train, relevant) = (train(), relevant());
         let engine = QueryEngine::new(&train, &relevant);
         let handle = ServingHandle::prepare(&engine, &plan()).unwrap();
+        let evaluations = engine.stats().evaluations;
         let mut out = Vec::new();
         handle
             .lookup(&[Value::Str("a".into()), Value::Str("m1".into())], &mut out)
@@ -760,6 +767,9 @@ mod tests {
             .lookup(&[Value::Str("c".into()), Value::Str("m3".into())], &mut out)
             .unwrap();
         assert_eq!(out, vec![Some(7.0), Some(7.0), Some(1.0), Some(7.0)]);
+        // Refreshing onto the new epoch read the memo that the append carried
+        // forward; no lookup ran an aggregation.
+        assert_eq!(engine.stats().evaluations, evaluations);
     }
 
     #[test]

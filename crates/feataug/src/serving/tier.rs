@@ -12,12 +12,14 @@
 //! all three around a small pool of dedicated worker threads draining a
 //! bounded queue.
 //!
-//! Deadlines preempt, not just observe: a request submitted with a deadline
-//! runs its engine work under a [`CancelToken`] built from that instant, and
-//! the kernels, gathers and probe loops poll the token at fixed strides — a
-//! deadline that fires mid-kernel abandons the work right there (surfacing
-//! through the same degradation policy) instead of waiting for the batch
-//! boundary. [`TierStats::cancelled`] counts how often preemption fired.
+//! A worker checks a request's deadline when it takes the request off the
+//! queue, before each key probe of the lookup, and once the lookup returns.
+//! A served handle's lookup is memo reads plus key probes and runs no
+//! aggregation, so the probe loop is the one place a deadline can pass
+//! mid-work: there the lookup stops before its next probe instead of
+//! finishing the rest. Every deadline that passes goes through the same
+//! degradation policy; [`TierStats::cancelled`] counts the ones the probe
+//! loop caught.
 //!
 //! ## Hot-swap
 //!
@@ -46,9 +48,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use feataug_tabular::{CancelToken, Value};
+use feataug_tabular::Value;
 
-use crate::exec::{lock_recover, panic_message, EngineError};
+use crate::exec::{lock_recover, panic_message, EngineError, EpochCell};
 use crate::serving::ServingHandle;
 
 /// Sizing and policy of a [`ServingTier`].
@@ -126,11 +128,6 @@ impl std::error::Error for TierError {
     }
 }
 
-// The tier's hot-swap cell is the same `EpochCell` the engine core's
-// copy-on-write epochs publish through; re-exported here so existing
-// `serving::tier::EpochCell` users keep compiling.
-pub use crate::exec::EpochCell;
-
 /// One queued lookup: the key, the admission-stamped deadline, and the reply
 /// channel.
 struct Request {
@@ -166,9 +163,9 @@ pub struct TierStats {
     /// Requests answered with the all-NULL degraded row (or
     /// [`TierError::DeadlineExceeded`]) because their deadline fired.
     pub degraded: usize,
-    /// Requests whose deadline preempted in-flight engine work mid-kernel
-    /// or mid-probe ([`EngineError::Cancelled`]) — a subset of `degraded`
-    /// that measures how often preemption beat the batch boundary.
+    /// Requests whose deadline passed inside the lookup's probe loop, which
+    /// stopped before its next key probe ([`EngineError::Cancelled`]) — a
+    /// subset of `degraded`.
     pub cancelled: usize,
     /// Worker panics contained into [`EngineError::WorkerPanic`] answers.
     pub worker_panics: usize,
@@ -249,8 +246,9 @@ impl ServingTier {
     }
 
     /// [`ServingTier::submit`] with an explicit per-request deadline
-    /// (`None`: no deadline). The clock starts at admission, so time spent
-    /// queued counts against it.
+    /// (`None`, or one too far off for an [`Instant`] to hold: no deadline).
+    /// The clock starts at admission, so time spent queued counts against
+    /// it.
     pub fn submit_deadline(
         &self,
         key: Vec<Value>,
@@ -270,7 +268,7 @@ impl ServingTier {
             }
             queue.push_back(Request {
                 key,
-                deadline: deadline.map(|d| Instant::now() + d),
+                deadline: deadline.and_then(|d| Instant::now().checked_add(d)),
                 reply: tx,
             });
         }
@@ -371,22 +369,20 @@ fn worker_loop(shared: &TierShared) {
 /// deadline already fired, contain any panic into a typed error, degrade (or
 /// error) if the deadline fired mid-gather.
 ///
-/// A request carrying a deadline runs its lookup under a [`CancelToken`]
-/// built from that instant: the engine polls the token at the kernel and
-/// probe-loop checkpoints, so a deadline that fires *during* the work
-/// preempts it mid-kernel — surfacing as [`EngineError::Cancelled`], which
-/// degrades exactly like a deadline observed at a batch boundary (and is
-/// additionally counted in [`TierStats::cancelled`]).
+/// The lookup runs under the request's deadline: the probe loop checks it
+/// before each key probe, and one that passes mid-lookup stops the loop with
+/// [`EngineError::Cancelled`], which degrades exactly like a deadline
+/// observed before or after the lookup (and is additionally counted in
+/// [`TierStats::cancelled`]).
 fn answer(shared: &TierShared, model: &ServingHandle<'static>, request: Request) {
     let expired = |deadline: Option<Instant>| deadline.is_some_and(|d| Instant::now() > d);
     let result = if expired(request.deadline) {
         past_deadline(shared, model)
     } else {
-        let cancel = request.deadline.map(CancelToken::with_deadline);
         let mut out = Vec::with_capacity(model.num_features());
         let lookup = catch_unwind(AssertUnwindSafe(|| {
             model
-                .lookup_with(&request.key, &mut out, cancel.as_ref())
+                .lookup_with(&request.key, &mut out, request.deadline)
                 .map(|()| out)
         }));
         match lookup {
@@ -592,6 +588,19 @@ mod tests {
         // A generous deadline answers normally.
         let ok = strict.lookup_deadline(&[Value::Int(1)], Duration::from_secs(60));
         assert_eq!(ok.unwrap()[0], Some(30.0));
+        // A deadline too far off for an `Instant` to hold is no deadline,
+        // whether given per request or as the tier's default.
+        let far = strict.lookup_deadline(&[Value::Int(1)], Duration::MAX);
+        assert_eq!(far.unwrap()[0], Some(30.0));
+        let far_default = ServingTier::new(
+            handle(1.0),
+            TierConfig {
+                degrade_on_deadline: false,
+                default_deadline: Some(Duration::MAX),
+                ..TierConfig::default()
+            },
+        );
+        assert_eq!(far_default.lookup(&[Value::Int(1)]).unwrap()[0], Some(30.0));
     }
 
     #[test]

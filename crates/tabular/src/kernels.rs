@@ -27,7 +27,6 @@
 //! `apply`, as the equivalence target and for callers without incremental state.
 
 use crate::aggregate::{canonical, canonical_nan, AggFunc};
-use crate::cancel::{CancelToken, Cancelled};
 
 /// The kernel family that evaluates an [`AggFunc`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -529,121 +528,6 @@ pub fn apply_kernel(agg: AggFunc, values: &[f64]) -> Option<f64> {
     result.map(canonical_nan)
 }
 
-/// Values processed between [`CancelToken`] polls inside [`apply_kernel_cancel`]. Small enough
-/// that a stalled kernel is preempted within a fraction of a serving deadline, large enough
-/// that the relaxed-load poll disappears against the accumulation work.
-pub const CANCEL_STRIDE: usize = 1024;
-
-/// [`apply_kernel`] with cooperative preemption: polls `cancel` every [`CANCEL_STRIDE`] values
-/// (and once up front) and returns `Err(Cancelled)` the moment the token trips, abandoning the
-/// partial accumulation. On the `Ok` path the result is bit-identical to [`apply_kernel`] —
-/// the chunked folds perform the same operations in the same ascending-row order, only
-/// interleaved with checkpoint polls.
-pub fn apply_kernel_cancel(
-    agg: AggFunc,
-    values: &[f64],
-    cancel: &CancelToken,
-) -> Result<Option<f64>, Cancelled> {
-    cancel.check()?;
-    let n = values.len();
-    let result = match KernelFamily::of(agg) {
-        KernelFamily::Stream => match agg {
-            AggFunc::Count => Some(n as f64),
-            _ if n == 0 => None,
-            AggFunc::Sum | AggFunc::Avg => {
-                // `Iterator::sum::<f64>` folds from `-0.0`; mirror it chunk by chunk.
-                let mut acc = -0.0f64;
-                for chunk in values.chunks(CANCEL_STRIDE) {
-                    cancel.check()?;
-                    for &v in chunk {
-                        acc += v;
-                    }
-                }
-                if agg == AggFunc::Sum {
-                    Some(acc)
-                } else {
-                    Some(acc / n as f64)
-                }
-            }
-            AggFunc::Min | AggFunc::Max => {
-                let mut acc = if agg == AggFunc::Min {
-                    f64::INFINITY
-                } else {
-                    f64::NEG_INFINITY
-                };
-                let mut seen = false;
-                for chunk in values.chunks(CANCEL_STRIDE) {
-                    cancel.check()?;
-                    for &v in chunk {
-                        if !v.is_nan() {
-                            seen = true;
-                            acc = if agg == AggFunc::Min {
-                                acc.min(v)
-                            } else {
-                                acc.max(v)
-                            };
-                        }
-                    }
-                }
-                seen.then_some(acc)
-            }
-            other => unreachable!("{other:?} is not a streaming aggregate"),
-        },
-        KernelFamily::Moment => {
-            if n == 0 {
-                return Ok(None);
-            }
-            let mut sum = -0.0f64;
-            for chunk in values.chunks(CANCEL_STRIDE) {
-                cancel.check()?;
-                for &v in chunk {
-                    sum += v;
-                }
-            }
-            let mean = sum / n as f64;
-            let mut m2 = 0.0;
-            let mut m4 = 0.0;
-            for chunk in values.chunks(CANCEL_STRIDE) {
-                cancel.check()?;
-                for &v in chunk {
-                    accumulate_m2(&mut m2, v, mean);
-                }
-            }
-            if agg == AggFunc::Kurtosis {
-                for chunk in values.chunks(CANCEL_STRIDE) {
-                    cancel.check()?;
-                    for &v in chunk {
-                        accumulate_m4(&mut m4, v, mean);
-                    }
-                }
-            }
-            moment_finalize(agg, n, m2, m4)
-        }
-        KernelFamily::OrderStat => {
-            if agg == AggFunc::CountDistinct && n == 0 {
-                return Ok(Some(0.0));
-            }
-            if n == 0 {
-                return Ok(None);
-            }
-            let mut sorted = values.to_vec();
-            cancel.check()?;
-            sorted.sort_by(|a, b| a.total_cmp(b));
-            cancel.check()?;
-            let value = match agg {
-                AggFunc::Median => median_sorted(&sorted),
-                AggFunc::Mad => mad_sorted(&sorted, &mut Vec::new()),
-                AggFunc::Mode => mode_sorted(&sorted),
-                AggFunc::Entropy => entropy_sorted(&sorted),
-                AggFunc::CountDistinct => count_distinct_sorted(&sorted),
-                other => unreachable!("{other:?} is not an order statistic"),
-            };
-            Some(value)
-        }
-    };
-    Ok(result.map(canonical_nan))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -755,45 +639,6 @@ mod tests {
         // An empty kernel mirrors the empty-group conventions.
         assert!(kernel.mode().is_nan());
         assert_eq!(kernel.count_distinct(), 0.0);
-    }
-
-    #[test]
-    fn apply_kernel_cancel_matches_apply_kernel_when_not_cancelled() {
-        let token = CancelToken::new();
-        let palette = adversarial_values();
-        // Include a slice longer than the stride so the chunked folds cross a poll boundary.
-        let mut long: Vec<f64> = Vec::new();
-        while long.len() <= CANCEL_STRIDE {
-            long.extend_from_slice(&palette);
-        }
-        let cases: Vec<Vec<f64>> = vec![vec![], palette.clone(), long];
-        for values in &cases {
-            for &agg in AggFunc::all() {
-                let reference = apply_kernel(agg, values);
-                let cancelable = apply_kernel_cancel(agg, values, &token)
-                    .expect("untripped token must not cancel");
-                assert_eq!(
-                    reference.map(f64::to_bits),
-                    cancelable.map(f64::to_bits),
-                    "{agg} over {} values",
-                    values.len()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn apply_kernel_cancel_preempts_on_tripped_token() {
-        let token = CancelToken::new();
-        token.cancel();
-        let values = vec![1.0, 2.0, 3.0];
-        for &agg in AggFunc::all() {
-            assert_eq!(
-                apply_kernel_cancel(agg, &values, &token),
-                Err(Cancelled),
-                "{agg} must preempt"
-            );
-        }
     }
 
     #[test]

@@ -34,7 +34,6 @@
 //! ```
 
 pub mod aggregate;
-pub mod cancel;
 pub mod column;
 pub mod csv;
 pub mod error;
@@ -48,7 +47,6 @@ pub mod table;
 pub mod value;
 
 pub use aggregate::AggFunc;
-pub use cancel::{CancelToken, Cancelled};
 pub use column::Column;
 pub use error::TabularError;
 pub use predicate::Predicate;

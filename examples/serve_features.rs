@@ -30,8 +30,8 @@
 //!    whose `prepare` builds the same [`feataug::ServingHandle`] with one
 //!    entry per shard — routed lookups stay bit-identical to the unsharded
 //!    path, appends split by the same hash with per-shard epochs under one
-//!    router generation, and per-request deadlines preempt slow work
-//!    *mid-kernel* through cancellation checkpoints;
+//!    router generation, and a per-request deadline is checked before
+//!    each key probe of a routed lookup;
 //! 9. go **multi-hop**: register a whole schema of tables in a
 //!    [`feataug::SchemaGraph`], let budgeted join-path search
 //!    ([`feataug::fit_schema`]) decide which paths earn a full search, and
@@ -229,14 +229,14 @@ fn main() {
         next.epoch()
     );
 
-    // ---- 8. Key-sharded serving: partitioned engines, cancellation-aware deadlines ---------
+    // ---- 8. Key-sharded serving: partitioned engines behind one router ---------------------
     // Hash-partition the relevant table by the task's key columns into four
     // shard engines behind one router. Full-key queries co-locate every
     // group on exactly one shard, so routed answers are bit-identical to the
     // unsharded path. `router.prepare` returns the same `ServingHandle` type
     // as `model.prepare`, so the tier serves it as is, and a per-request
-    // deadline preempts a slow lookup mid-kernel through the engine's
-    // cancellation checkpoints (degrading to the all-NULL row).
+    // deadline is checked before each key probe (a lookup that runs past it
+    // degrades to the all-NULL row).
     let shard_planned: Vec<PlannedQuery> = AggFunc::basic()
         .iter()
         .map(|&agg| PlannedQuery {

@@ -723,51 +723,19 @@ fn routable_pool(
         .collect()
 }
 
-/// A deadline that fires while a kernel checkpoint stalls preempts the work
-/// right there — mid-kernel, not at the batch boundary. Plain traffic (no
-/// token) never even evaluates the `kernel.cancel` failpoint, so an armed
-/// stall cannot perturb it. The tier maps the preemption into its existing
-/// degradation policy: all-NULL under degradation (counted in
-/// `TierStats::cancelled`), a typed error in strict mode.
+/// A deadline that passes while the serving probe loop stalls stops the
+/// lookup right there, before its next key probe, instead of at the batch
+/// boundary. Deadline-free requests never evaluate the `serving.deadline`
+/// failpoint, so an armed stall cannot perturb them. The tier maps the stop
+/// into its existing degradation policy: all-NULL under degradation
+/// (counted in `TierStats::cancelled`), a typed error in strict mode.
 #[test]
-fn tripped_deadline_preempts_stalled_kernel_mid_work() {
-    use std::time::Instant;
+fn tripped_deadline_preempts_stalled_probe_mid_work() {
     let _guard = ChaosGuard::acquire();
     let ds = dataset(73);
     let task = to_aug_task(&ds);
     let pool = random_pool(&ds, 0xce11, 3);
 
-    let clean = QueryEngine::new(&ds.train, &ds.relevant);
-    let reference = clean.evaluate(&pool[0]).unwrap();
-
-    // Engine level: every cancellation checkpoint stalls 30ms, so a 2ms
-    // deadline has tripped by the first poll — the aggregation abandons
-    // mid-kernel with a typed error.
-    failpoint::set("kernel.cancel", Action::Delay(Duration::from_millis(30)));
-    let engine = QueryEngine::new(&ds.train, &ds.relevant);
-    let token =
-        feataug_tabular::CancelToken::with_deadline(Instant::now() + Duration::from_millis(2));
-    let err = engine.evaluate_cancel(&pool[0], &token).unwrap_err();
-    assert!(matches!(err, EngineError::Cancelled), "got {err:?}");
-    assert!(failpoint::hits("kernel.cancel") > 0);
-
-    // Plain traffic is token-free: the checkpoint returns before evaluating
-    // the failpoint, so the armed stall neither delays nor perturbs it.
-    let hits_before = failpoint::hits("kernel.cancel");
-    assert_eq!(bits(&engine.evaluate(&pool[0]).unwrap()), bits(&reference));
-    assert_eq!(failpoint::hits("kernel.cancel"), hits_before);
-
-    // Disarmed, a generous deadline runs to completion bit-identically.
-    failpoint::clear("kernel.cancel");
-    let generous =
-        feataug_tabular::CancelToken::with_deadline(Instant::now() + Duration::from_secs(60));
-    assert_eq!(
-        bits(&engine.evaluate_cancel(&pool[0], &generous).unwrap()),
-        bits(&reference)
-    );
-
-    // Tier level: warm serving probes poll the same checkpoints. A 50ms
-    // stall against a 10ms deadline preempts the very first probe.
     let plan = plan_from(&ds, &pool);
     let model = AugModel::compile_shared(plan, task.train.clone(), task.relevant.clone())
         .expect("plan compiles");
@@ -780,7 +748,9 @@ fn tripped_deadline_preempts_stalled_kernel_mid_work() {
     let mut want = Vec::new();
     handle.lookup(&key, &mut want).unwrap();
 
-    failpoint::set("kernel.cancel", Action::Delay(Duration::from_millis(50)));
+    // Every deadline check stalls 50ms, so a 10ms deadline has passed by
+    // the time the first probe checks it.
+    failpoint::set("serving.deadline", Action::Delay(Duration::from_millis(50)));
     let tier = ServingTier::new(
         std::sync::Arc::clone(&handle),
         TierConfig {
@@ -820,7 +790,7 @@ fn tripped_deadline_preempts_stalled_kernel_mid_work() {
         .unwrap_err();
     assert!(matches!(err, TierError::DeadlineExceeded), "got {err:?}");
     assert!(strict.stats().cancelled >= 1);
-    failpoint::clear("kernel.cancel");
+    failpoint::clear("serving.deadline");
     assert_eq!(
         bits(
             &strict
