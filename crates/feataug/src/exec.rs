@@ -141,7 +141,7 @@
 //! property tests over randomized query pools at several thread counts
 //! (`tests/proptests.rs`).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -1949,21 +1949,18 @@ impl<'a> EngineCore<'a> {
     }
 
     /// The memoized order index for `query`'s `(aggregation column, key
-    /// subset)` pair — when its aggregate is an order statistic *and* the
-    /// selection is dense enough for the run merge to win. `None` routes the
-    /// query to the scatter-bucket kernels instead.
+    /// subset)` pair, when its aggregate is an order statistic. `None` routes
+    /// the query to the scatter-bucket kernels instead.
     ///
     /// Cost model: the merge scans every touched group's whole run (up to all
     /// non-null rows) at one mask probe per value, while the scatter path
-    /// costs O(selected rows) plus a sort of each small bucket. With the
-    /// index already compiled the decision is **exact per-group run-length
-    /// accounting**: sum the touched groups' run lengths (base + lazy delta)
-    /// and merge only when the total stays within 4× the selected rows —
-    /// epoch deltas can concentrate huge runs in a few groups, which a global
-    /// row-count heuristic cannot see. When the index is not yet built, the
-    /// run lengths don't exist either, so a global `4 × selected ≥ rows`
-    /// density gate decides whether building it is worth amortizing — an
-    /// all-sparse workload never pays the compilation.
+    /// costs O(selected rows) plus a sort of each small bucket. An index that
+    /// is already compiled is returned as is: [`aggregate_groups`] decides by
+    /// **exact per-group run-length accounting** once it knows the touched
+    /// groups. When the index is not yet built, the run lengths don't exist
+    /// either, so a global `4 × selected ≥ rows` density gate decides whether
+    /// building it is worth amortizing — an all-sparse workload never pays
+    /// the compilation.
     fn agg_order_index(
         &self,
         query: &PredicateQuery,
@@ -1979,33 +1976,12 @@ impl<'a> EngineCore<'a> {
         let Some(m) = mask else {
             return Some(self.order_index(&query.agg_column, &query.group_keys, gi, view));
         };
-        // The popcount runs only for order-statistic queries — the streaming
-        // / moment families bail out above without touching the mask.
-        let selected = m.count_ones();
         let memo_key = (query.agg_column.clone(), query.group_keys.clone());
-        let existing = read_recover(&self.order).get(&memo_key).cloned();
-        match existing {
-            Some(idx) => {
-                let budget = selected.saturating_mul(4);
-                let mut run_total = 0usize;
-                let mut seen: HashSet<u32> = HashSet::new();
-                for row in 0..self.relevant.num_rows() {
-                    if !m.get(row) {
-                        continue;
-                    }
-                    let g = gi.group_of_row[row];
-                    if seen.insert(g) {
-                        run_total += idx.run_len(g as usize);
-                        if run_total > budget {
-                            return None;
-                        }
-                    }
-                }
-                Some(idx)
-            }
-            None => (selected.saturating_mul(4) >= self.relevant.num_rows())
-                .then(|| self.order_index(&query.agg_column, &query.group_keys, gi, view)),
+        if let Some(idx) = read_recover(&self.order).get(&memo_key) {
+            return Some(idx.clone());
         }
+        (m.count_ones().saturating_mul(4) >= self.relevant.num_rows())
+            .then(|| self.order_index(&query.agg_column, &query.group_keys, gi, view))
     }
 
     /// Fetch (or build and memoize) the sorted-group value index for one
@@ -2403,8 +2379,9 @@ fn remapped_cat_view(
 /// * **OrderStat** — the memoized [`OrderIndex`] when the selection is dense
 ///   (a trivial predicate reads each group's pre-sorted run in place, a
 ///   filtering one merges the selected rows out of it at one mask probe per
-///   value). When `order` is `None` — a sparse selection, or query-local
-///   re-interned dictionary codes — values are scattered into per-group
+///   value, if the touched groups' runs total at most 4× the selected rows).
+///   Otherwise — a sparse selection, or query-local re-interned dictionary
+///   codes (`order` is `None`) — values are scattered into per-group
 ///   buckets instead and evaluated by the dictionary-code frequency kernel
 ///   (`codes` views) or a per-bucket sort feeding the same sorted-run
 ///   kernels.
@@ -2595,6 +2572,22 @@ fn aggregate_groups(
                 mask.for_each_set(&mut presence_visit);
             }
 
+            // A filtering query merges the touched groups' whole runs (base +
+            // lazy delta) at one mask probe per value: take the runs only
+            // while they total at most 4× the selected rows. Epoch deltas can
+            // concentrate huge runs in a few groups, which a global row-count
+            // heuristic cannot see.
+            let order = order.filter(|order| {
+                trivial || {
+                    let (runs, selected) = touched.iter().fold((0usize, 0usize), |(r, s), &g| {
+                        (
+                            r + order.run_len(g as usize),
+                            s + sel_count[g as usize] as usize,
+                        )
+                    });
+                    runs <= selected.saturating_mul(4)
+                }
+            });
             if let Some(order) = order {
                 // Selection-aware merge over the pre-sorted group runs.
                 for &g in touched.iter() {

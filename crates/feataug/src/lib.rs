@@ -110,7 +110,8 @@
 //! there, [`schema::enumerate_paths`] walks acyclic [`schema::JoinPath`]s
 //! to a hop cap, and [`schema::fit_schema`] runs the FeatNavigator/ARDA-
 //! style budget: every candidate path gets a low-cost proxy score, only
-//! the top `path_budget` paths are promoted to a full TPE search. A
+//! the top `path_budget` paths are promoted to a full TPE search, and the
+//! promoted paths' template searches share one worker queue. A
 //! promoted path is compiled by composing per-hop gather maps into one
 //! virtual relevant view — bit-identical to the eagerly pre-joined table,
 //! property-tested — which the existing [`exec::QueryEngine`] consumes

@@ -26,7 +26,7 @@ use feataug_ml::Task;
 use feataug_tabular::join::left_join;
 use feataug_tabular::{Column, Table};
 
-use crate::exec::EngineResult;
+use crate::exec::{default_workers, EngineResult};
 use crate::pipeline::{AugModel, FeatAug, FeatAugConfig, FeatAugResult, PipelineTiming};
 use crate::problem::{AugTask, AugTaskError};
 use crate::query::AugPlan;
@@ -136,6 +136,12 @@ pub struct MultiAugModel<'a> {
 /// co-owns its source tables through the sub-task's `Arc`s, so the returned
 /// [`OwnedMultiAugModel`] stands alone — the sub-task vector can be dropped.
 ///
+/// Like [`crate::schema::fit_schema`]'s promoted paths, the sources' template
+/// searches share one worker queue at [`default_workers`] and merge in source
+/// order; each source keeps its own evaluator and engine, so the model does
+/// not depend on the worker count. The first invalid sub-task fails the fit
+/// before any search runs.
+///
 /// ```no_run
 /// # use feataug::multi::{MultiAugTask, fit_multi};
 /// # use feataug::FeatAugConfig;
@@ -150,10 +156,7 @@ pub fn fit_multi(
     cfg: &FeatAugConfig,
     sub_tasks: &[AugTask],
 ) -> Result<OwnedMultiAugModel, AugTaskError> {
-    let models = sub_tasks
-        .iter()
-        .map(|task| FeatAug::new(cfg.clone()).fit(task))
-        .collect::<Result<Vec<_>, _>>()?;
+    let models = FeatAug::new(cfg.clone()).fit_all(sub_tasks, default_workers())?;
     Ok(MultiAugModel { models })
 }
 
@@ -416,6 +419,63 @@ mod tests {
         let mut bad = task.sub_task(0);
         bad.label_column = "ghost".into();
         assert!(fit_multi(&small_cfg(), &[bad]).is_err());
+    }
+
+    /// The sources' template searches share one worker queue (the entry
+    /// `fit_multi` runs at the default count), yet each source's model is the
+    /// one it fits alone, at any worker count.
+    #[test]
+    fn fit_multi_is_identical_at_any_worker_count() {
+        let n = 80;
+        let task = MultiAugTask::new(train(n), "label", Task::BinaryClassification)
+            .with_source(RelevantSource::new(
+                relevant(n, "r1", "a"),
+                vec!["user_id".into()],
+            ))
+            .with_source(RelevantSource::new(
+                relevant(n, "r2", "b"),
+                vec!["user_id".into()],
+            ));
+        let subs = task.sub_tasks();
+        let summary = |m: &AugModel| {
+            let losses: Vec<(String, u64)> = m
+                .queries()
+                .iter()
+                .map(|g| (g.feature_name.clone(), g.loss.to_bits()))
+                .collect();
+            let templates: Vec<(crate::template::QueryTemplate, u64)> = m
+                .templates()
+                .iter()
+                .map(|t| (t.template.clone(), t.effectiveness.to_bits()))
+                .collect();
+            let timing = m.timing();
+            (
+                m.plan().to_plan_text(),
+                losses,
+                templates,
+                timing.trainings,
+                timing.memo_hits,
+            )
+        };
+        let fit_all = |workers: usize| -> Vec<_> {
+            FeatAug::new(small_cfg())
+                .fit_all(&subs, workers)
+                .unwrap()
+                .iter()
+                .map(summary)
+                .collect()
+        };
+        let alone: Vec<_> = subs
+            .iter()
+            .map(|sub| summary(&FeatAug::new(small_cfg()).fit(sub).unwrap()))
+            .collect();
+        assert_eq!(alone.len(), 2);
+        assert!(alone.iter().all(|(_, losses, ..)| !losses.is_empty()));
+        assert!(alone
+            .iter()
+            .any(|(_, _, templates, ..)| templates.len() > 1));
+        assert_eq!(fit_all(1), alone);
+        assert_eq!(fit_all(2), alone);
     }
 
     #[test]

@@ -39,10 +39,13 @@
 //! ([`PipelineTiming::trainings`] / [`PipelineTiming::memo_hits`]).
 //!
 //! The templates' searches are independent, so `fit` runs them concurrently
-//! through the same worker pool, at [`crate::exec::default_workers`]
+//! on one worker queue, at [`crate::exec::default_workers`]
 //! (`FEATAUG_THREADS=1` searches them one after another), and merges their
-//! results in template order. The fitted plan does not depend on the worker
-//! count.
+//! results in template order. [`crate::schema::fit_schema`] and
+//! [`crate::multi::fit_multi`] put every task's template searches on one
+//! such queue, after each task's QTI, and merge each task's results in task
+//! order; a one-task `fit` is the one-element case. The fitted plan does not
+//! depend on the worker count.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -52,8 +55,8 @@ use feataug_ml::ModelKind;
 use feataug_tabular::{AggFunc, Column, Table, Value};
 
 use crate::evaluation::FeatureEvaluator;
-use crate::exec::{default_workers, fan_out, EngineResult, EngineStats, QueryEngine, TableHandle};
-use crate::generation::{GeneratedQuery, QueryGenerator, SqlGenConfig};
+use crate::exec::{default_workers, fan_out, EngineResult, EngineStats, QueryEngine};
+use crate::generation::{GeneratedQuery, GenerationTiming, QueryGenerator, SqlGenConfig};
 use crate::problem::{AugTask, AugTaskError};
 use crate::proxy::LowCostProxy;
 use crate::query::{AugPlan, PlanAnalysisError, PlannedQuery, PredicateQuery};
@@ -530,34 +533,97 @@ impl FeatAug {
     /// itself holds them in `Arc`s), so the returned model is already the
     /// `Send + Sync + 'static` [`OwnedAugModel`] shape with no table clone
     /// anywhere on the path.
+    ///
+    /// The templates are searched concurrently on [`default_workers`]
+    /// threads; the fitted plan does not depend on the worker count.
     pub fn fit(&self, task: &AugTask) -> Result<OwnedAugModel, AugTaskError> {
-        self.fit_with_workers(task, default_workers())
+        let mut models = self.fit_all(std::slice::from_ref(task), default_workers())?;
+        Ok(models.pop().expect("fit_all returns one model per task"))
     }
 
-    /// [`FeatAug::fit`], searching the templates on up to `workers` threads.
-    /// The result does not depend on `workers`: every template's search is
-    /// independent, the evaluator's loss memo is exact, and the searches are
-    /// merged in template order.
-    pub(crate) fn fit_with_workers(
+    /// Fit every task, returning one model per task in task order. Each task
+    /// is prepared in turn: validated, given its own evaluator and engine,
+    /// and its templates identified. Then every (task, template) search runs
+    /// through one worker queue on up to `workers` threads, and each task's
+    /// searches merge in template order. The first invalid task fails the
+    /// call before any search runs.
+    ///
+    /// The result does not depend on `workers`: the searches are independent,
+    /// each evaluator's loss memo is exact, and threads never nest — QTI's
+    /// batches finish before the queue starts, and a search runs no fan-out
+    /// of its own.
+    pub(crate) fn fit_all(
         &self,
-        task: &AugTask,
+        tasks: &[AugTask],
         workers: usize,
-    ) -> Result<OwnedAugModel, AugTaskError> {
+    ) -> Result<Vec<OwnedAugModel>, AugTaskError> {
+        let prepared = tasks
+            .iter()
+            .map(|task| self.prepare(task))
+            .collect::<Result<Vec<_>, _>>()?;
+
+        // ---- SQL Query Generation in each template's pool ---------------------------------
+        let mut sql_cfg = self.cfg.sqlgen.clone();
+        sql_cfg.enable_warmup = self.cfg.enable_warmup;
+        sql_cfg.proxy = self.cfg.proxy;
+        let per_template = per_template_budget(
+            self.cfg.enable_qti,
+            self.cfg.n_templates,
+            self.cfg.queries_per_template,
+        );
+        // Every (task, template) search is independent, so one queue runs
+        // them all, in task then template order.
+        let searches = {
+            let generators: Vec<QueryGenerator> = prepared
+                .iter()
+                .map(|fit| {
+                    QueryGenerator::with_engine(
+                        fit.task,
+                        &fit.evaluator,
+                        sql_cfg.clone(),
+                        fit.engine.clone(),
+                    )
+                })
+                .collect();
+            let units: Vec<(&QueryGenerator, &QueryTemplate)> = generators
+                .iter()
+                .zip(&prepared)
+                .flat_map(|(generator, fit)| {
+                    fit.templates.iter().map(move |t| (generator, &t.template))
+                })
+                .collect();
+            fan_out(
+                &units,
+                workers,
+                "pipeline.generate",
+                || (),
+                |_, (generator, template)| Ok(generator.generate(template, per_template)),
+            )
+        };
+
+        let mut searches = searches.into_iter();
+        Ok(prepared
+            .into_iter()
+            .map(|fit| {
+                let n = fit.templates.len();
+                fit.finish(searches.by_ref().take(n))
+            })
+            .collect())
+    }
+
+    /// One task's fit up to its template searches.
+    fn prepare<'t>(&self, task: &'t AugTask) -> Result<PreparedFit<'t>, AugTaskError> {
         task.validate()?;
         let evaluator = FeatureEvaluator::new(task, self.cfg.model, self.cfg.seed);
-        let mut timing = PipelineTiming::default();
 
-        // One execution engine per run: QTI compiles group indexes / views
+        // One execution engine per task: QTI compiles group indexes / views
         // while scoring beam nodes, and the generator's search loops reuse
-        // them through the cloned handle below. The handles share the task's
+        // them through cloned handles. The engine shares the task's
         // `Arc<Table>`s — no copy, and the model outlives the task borrow.
-        let engine = QueryEngine::with_handles(
-            TableHandle::Shared(task.train.clone()),
-            TableHandle::Shared(task.relevant.clone()),
-        );
+        let engine = QueryEngine::new_shared(task.train.clone(), task.relevant.clone());
 
         // ---- Query Template Identification ------------------------------------------------
-        let templates: Vec<ScoredTemplate> = if self.cfg.enable_qti {
+        let (templates, qti) = if self.cfg.enable_qti {
             let mut ti_cfg = self.cfg.template_id.clone();
             ti_cfg.n_templates = self.cfg.n_templates;
             ti_cfg.proxy = self.cfg.proxy;
@@ -568,13 +634,12 @@ impl FeatAug {
                 ti_cfg,
                 engine.clone(),
             );
-            let (templates, qti_time, _) = identifier.identify();
-            timing.qti = qti_time;
-            templates
+            let (templates, qti, _) = identifier.identify();
+            (templates, qti)
         } else {
             // NoQTI: a single template whose WHERE combination is the full user-provided
             // attribute set.
-            vec![ScoredTemplate {
+            let templates = vec![ScoredTemplate {
                 template: QueryTemplate::new(
                     self.cfg.agg_funcs.clone(),
                     task.resolved_agg_columns(),
@@ -582,31 +647,55 @@ impl FeatAug {
                     task.key_columns.clone(),
                 ),
                 effectiveness: f64::NAN,
-            }]
+            }];
+            (templates, Duration::ZERO)
         };
 
-        // ---- SQL Query Generation in each template's pool ---------------------------------
-        let mut sql_cfg = self.cfg.sqlgen.clone();
-        sql_cfg.enable_warmup = self.cfg.enable_warmup;
-        sql_cfg.proxy = self.cfg.proxy;
-        let generator = QueryGenerator::with_engine(task, &evaluator, sql_cfg, engine.clone());
+        Ok(PreparedFit {
+            task,
+            evaluator,
+            engine,
+            templates,
+            qti,
+        })
+    }
 
-        let per_template = per_template_budget(
-            self.cfg.enable_qti,
-            self.cfg.n_templates,
-            self.cfg.queries_per_template,
-        );
+    /// Run the full historical one-shot pipeline: [`FeatAug::fit`] followed
+    /// by [`AugModel::transform`] on the training table. Bit-identical to the
+    /// pre-split terminal `augment` (property-tested); panics on a malformed
+    /// task — call `fit` directly to handle [`AugTaskError`] gracefully.
+    pub fn augment(&self, task: &AugTask) -> FeatAugResult {
+        let model = self
+            .fit(task)
+            .unwrap_or_else(|e| panic!("FeatAug::augment: invalid task: {e}"));
+        let (augmented_train, feature_names) = model
+            .transform_named(&task.train)
+            .expect("transforming the fitted training table");
+        model.into_result(augmented_train, feature_names)
+    }
+}
 
-        // The templates' searches are independent, so they run concurrently.
-        // A search that panics fails the fit: its queries are never dropped.
-        let searches = fan_out(
-            &templates,
-            workers,
-            "pipeline.generate",
-            || (),
-            |_, scored| Ok(generator.generate(&scored.template, per_template)),
-        );
+/// One task's fit up to its template searches (see [`FeatAug::fit_all`]).
+struct PreparedFit<'t> {
+    task: &'t AugTask,
+    evaluator: FeatureEvaluator,
+    engine: QueryEngine<'static>,
+    templates: Vec<ScoredTemplate>,
+    qti: Duration,
+}
 
+impl PreparedFit<'_> {
+    /// Merge this task's template searches, given in template order, into
+    /// its model. A search that panicked fails the fit: its queries are never
+    /// dropped.
+    fn finish(
+        self,
+        searches: impl Iterator<Item = EngineResult<(Vec<GeneratedQuery>, GenerationTiming)>>,
+    ) -> OwnedAugModel {
+        let mut timing = PipelineTiming {
+            qti: self.qti,
+            ..PipelineTiming::default()
+        };
         // Cross-template dedup by feature name, in template order: templates
         // overlap (a deeper template's pool contains the shallower one's
         // queries), and a repeat feature would silently fail to attach.
@@ -625,12 +714,12 @@ impl FeatAug {
                 }
             }
         }
-        timing.trainings = evaluator.trainings();
-        timing.memo_hits = evaluator.memo_hits();
+        timing.trainings = self.evaluator.trainings();
+        timing.memo_hits = self.evaluator.memo_hits();
 
         let plan = AugPlan::new(
-            task.relevant.name(),
-            task.key_columns.clone(),
+            self.task.relevant.name(),
+            self.task.key_columns.clone(),
             queries
                 .iter()
                 .map(|g| PlannedQuery {
@@ -639,28 +728,13 @@ impl FeatAug {
                 })
                 .collect(),
         );
-
-        Ok(AugModel {
+        AugModel {
             plan,
-            engine,
-            templates,
+            engine: self.engine,
+            templates: self.templates,
             queries,
             timing,
-        })
-    }
-
-    /// Run the full historical one-shot pipeline: [`FeatAug::fit`] followed
-    /// by [`AugModel::transform`] on the training table. Bit-identical to the
-    /// pre-split terminal `augment` (property-tested); panics on a malformed
-    /// task — call `fit` directly to handle [`AugTaskError`] gracefully.
-    pub fn augment(&self, task: &AugTask) -> FeatAugResult {
-        let model = self
-            .fit(task)
-            .unwrap_or_else(|e| panic!("FeatAug::augment: invalid task: {e}"));
-        let (augmented_train, feature_names) = model
-            .transform_named(&task.train)
-            .expect("transforming the fitted training table");
-        model.into_result(augmented_train, feature_names)
+        }
     }
 }
 
@@ -923,7 +997,11 @@ mod tests {
             let feataug = FeatAug::new(tiny_cfg(model));
             let fits: Vec<OwnedAugModel> = [1, 2, 4]
                 .into_iter()
-                .map(|workers| feataug.fit_with_workers(&task, workers).unwrap())
+                .flat_map(|workers| {
+                    feataug
+                        .fit_all(std::slice::from_ref(&task), workers)
+                        .unwrap()
+                })
                 .collect();
             let losses = |m: &OwnedAugModel| -> Vec<(String, u64)> {
                 m.queries()

@@ -11,6 +11,10 @@
 //! running the full search on every enumerated path, which is the point:
 //! path count grows combinatorially with schema size, full searches do not.
 //!
+//! **One worker queue.** Every promoted path's template searches share one
+//! worker queue (see [`fit_schema`]), so a path with one template does not
+//! leave the other workers idle, and the fit is the same at any worker count.
+//!
 //! **Degenerate depth-1 case.** With `max_hops = 0` and a budget covering
 //! every candidate, `fit_schema` *is* [`crate::multi::fit_multi`]: the
 //! candidate views are the registered base tables themselves (zero-copy
@@ -23,7 +27,7 @@ use std::sync::Arc;
 use feataug_ml::Task;
 use feataug_tabular::{AggFunc, Predicate, Table};
 
-use crate::exec::{EngineResult, QueryEngine};
+use crate::exec::{default_workers, EngineResult, QueryEngine};
 use crate::pipeline::{FeatAug, FeatAugConfig, OwnedAugModel};
 use crate::problem::AugTask;
 use crate::query::{AugPlan, PredicateQuery};
@@ -179,7 +183,25 @@ impl SchemaAugModel {
 
 /// Fit a schema task: enumerate paths, proxy-score every candidate view,
 /// promote the top [`SchemaTask::path_budget`] to full searches.
+///
+/// The promoted paths' template searches share one worker queue at
+/// [`default_workers`]: each path is prepared in rank order (validated, its
+/// templates identified), then every (path, template) search runs on the
+/// queue, and each path's results merge in template order. Every path keeps
+/// its own evaluator, loss memo and engine, so the model does not depend on
+/// the worker count, and `FEATAUG_THREADS=1` runs the searches one after
+/// another.
 pub fn fit_schema(cfg: &FeatAugConfig, task: &SchemaTask) -> Result<SchemaAugModel, SchemaError> {
+    fit_schema_with_workers(cfg, task, default_workers())
+}
+
+/// [`fit_schema`], running the promoted paths' searches on up to `workers`
+/// threads.
+pub(crate) fn fit_schema_with_workers(
+    cfg: &FeatAugConfig,
+    task: &SchemaTask,
+    workers: usize,
+) -> Result<SchemaAugModel, SchemaError> {
     let train = task.graph.table(&task.train)?.clone();
     let labels: Vec<f64> = train
         .column(&task.label_column)
@@ -211,7 +233,7 @@ pub fn fit_schema(cfg: &FeatAugConfig, task: &SchemaTask) -> Result<SchemaAugMod
     scored.sort_by(|a, b| b.3.total_cmp(&a.3).then(a.0.cmp(&b.0)));
 
     let budget = task.path_budget.max(1).min(scored.len());
-    let mut models = Vec::with_capacity(budget);
+    let mut aug_tasks = Vec::with_capacity(budget);
     let mut promoted_paths = Vec::with_capacity(budget);
     let mut scores = Vec::with_capacity(scored.len());
     for (rank, (_, path, view, score)) in scored.into_iter().enumerate() {
@@ -224,19 +246,20 @@ pub fn fit_schema(cfg: &FeatAugConfig, task: &SchemaTask) -> Result<SchemaAugMod
         if !promoted {
             continue;
         }
-        let aug_task = AugTask::new(
-            train.clone(),
-            view.clone(),
-            path.base_keys.clone(),
-            task.label_column.clone(),
-            task.task,
-        )
-        .with_agg_columns(present_in(&task.agg_columns, &view))
-        .with_predicate_attrs(present_in(&task.predicate_attrs, &view));
-        let model = FeatAug::new(cfg.clone()).fit(&aug_task)?;
-        models.push(model);
+        aug_tasks.push(
+            AugTask::new(
+                train.clone(),
+                view.clone(),
+                path.base_keys.clone(),
+                task.label_column.clone(),
+                task.task,
+            )
+            .with_agg_columns(present_in(&task.agg_columns, &view))
+            .with_predicate_attrs(present_in(&task.predicate_attrs, &view)),
+        );
         promoted_paths.push(path);
     }
+    let models = FeatAug::new(cfg.clone()).fit_all(&aug_tasks, workers)?;
 
     let stats = ExplorationStats {
         candidates: scores.len(),
@@ -453,6 +476,78 @@ mod tests {
             fit_schema(&small_cfg(), &task),
             Err(SchemaError::NoPaths { .. })
         ));
+    }
+
+    /// The promoted paths' template searches share one worker queue, yet the
+    /// fit does not depend on the worker count: plans, per-path losses,
+    /// templates, training counts and path scores are identical at 1, 2 and
+    /// 4 workers.
+    #[test]
+    fn fit_is_identical_at_any_worker_count_across_paths() {
+        let ds = feataug_datagen::instacart::generate_schema(&feataug_datagen::GenConfig::tiny());
+        let mut graph = SchemaGraph::new();
+        graph.register(ds.train.clone()).unwrap();
+        for table in &ds.tables {
+            graph.register(table.clone()).unwrap();
+        }
+        for edge in &ds.edges {
+            let left: Vec<&str> = edge.left_keys.iter().map(String::as_str).collect();
+            let right: Vec<&str> = edge.right_keys.iter().map(String::as_str).collect();
+            graph
+                .declare_edge(&edge.left, &edge.right, &left, &right)
+                .unwrap();
+        }
+        let task = SchemaTask::new(graph, "users", "label", Task::BinaryClassification)
+            .with_max_hops(2)
+            .with_path_budget(usize::MAX)
+            .with_agg_columns(vec!["price".into(), "cart_position".into()])
+            .with_predicate_attrs(vec!["department".into(), "order_hour".into()]);
+        type Summary = (
+            Vec<String>,
+            Vec<Vec<(String, u64)>>,
+            Vec<Vec<(crate::template::QueryTemplate, u64)>>,
+            Vec<(usize, usize)>,
+            Vec<u64>,
+        );
+        let summary = |m: &SchemaAugModel| -> Summary {
+            (
+                m.plans().iter().map(AugPlan::to_plan_text).collect(),
+                m.models()
+                    .iter()
+                    .map(|m| {
+                        m.queries()
+                            .iter()
+                            .map(|g| (g.feature_name.clone(), g.loss.to_bits()))
+                            .collect()
+                    })
+                    .collect(),
+                m.models()
+                    .iter()
+                    .map(|m| {
+                        m.templates()
+                            .iter()
+                            .map(|t| (t.template.clone(), t.effectiveness.to_bits()))
+                            .collect()
+                    })
+                    .collect(),
+                m.models()
+                    .iter()
+                    .map(|m| (m.timing().trainings, m.timing().memo_hits))
+                    .collect(),
+                m.stats().scores.iter().map(|s| s.score.to_bits()).collect(),
+            )
+        };
+        let serial = summary(&fit_schema_with_workers(&small_cfg(), &task, 1).unwrap());
+        assert!(serial.2.len() >= 2, "fewer than two promoted paths");
+        assert!(serial.1.iter().all(|losses| !losses.is_empty()));
+        assert!(
+            serial.2.iter().any(|templates| templates.len() > 1),
+            "every path holds one template, so the queue never mixes paths"
+        );
+        for workers in [2, 4] {
+            let parallel = fit_schema_with_workers(&small_cfg(), &task, workers).unwrap();
+            assert_eq!(summary(&parallel), serial, "{workers} workers");
+        }
     }
 
     #[test]

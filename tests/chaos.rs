@@ -20,6 +20,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use feataug::failpoint::{self, Action};
+use feataug::multi::fit_multi;
 use feataug::pipeline::AugModel;
 use feataug::{
     AugPlan, EngineError, FeatAug, FeatAugConfig, PlannedQuery, PredicateQuery, QueryCodec,
@@ -100,16 +101,34 @@ fn bits(values: &[Option<f64>]) -> Vec<Option<u64>> {
     values.iter().map(|v| v.map(f64::to_bits)).collect()
 }
 
+/// Run `fit` with every kernel evaluation panicking, and return the panic
+/// message the fit raised.
+fn armed_kernel_panic<T: std::fmt::Debug>(fit: impl FnOnce() -> T) -> String {
+    failpoint::set("exec.kernel", Action::Panic);
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(fit));
+    failpoint::reset();
+    match outcome {
+        Ok(fitted) => panic!("the fit swallowed its template searches' panics: {fitted:?}"),
+        Err(payload) => payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default(),
+    }
+}
+
 /// `FeatAug::fit` searches its templates concurrently, and a search that
 /// panics fails the whole fit: the fan-out contains the panic, and the fit
 /// raises it again rather than return a plan missing that template's queries.
 /// The kernel failpoint fails every evaluation; template identification
 /// contains its own and still returns templates, so the panic comes from the
-/// template searches.
+/// template searches. A two-source `fit_multi` queues both sources' searches
+/// on one worker queue, and fails the same way: the panic is raised once, by
+/// the merge, not wrapped by an outer scheduler.
 #[test]
 fn panicking_template_search_fails_the_fit() {
     let _guard = ChaosGuard::acquire();
     let task = to_aug_task(&dataset(43));
+    let sources = [task.clone(), task.clone()];
     let mut cfg = FeatAugConfig::fast(ModelKind::Linear);
     cfg.n_templates = 2;
     cfg.template_id.n_templates = 2;
@@ -118,27 +137,24 @@ fn panicking_template_search_fails_the_fit() {
     cfg.sqlgen.warmup_top_k = 2;
     cfg.sqlgen.search_iters = 2;
 
-    failpoint::set("exec.kernel", Action::Panic);
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        FeatAug::new(cfg.clone()).fit(&task)
-    }));
-    failpoint::reset();
-    let payload = match outcome {
-        Ok(fitted) => panic!("the fit swallowed its template searches' panics: {fitted:?}"),
-        Err(payload) => payload,
-    };
-    let message = payload
-        .downcast_ref::<String>()
-        .cloned()
-        .unwrap_or_default();
-    assert!(
-        message.contains("template search failed") && message.contains("exec.kernel"),
-        "got: {message}"
-    );
+    for message in [
+        armed_kernel_panic(|| FeatAug::new(cfg.clone()).fit(&task)),
+        armed_kernel_panic(|| fit_multi(&cfg, &sources)),
+    ] {
+        assert!(
+            message.starts_with("FeatAug::fit: template search failed")
+                && message.matches("worker panicked").count() == 1
+                && message.contains("exec.kernel"),
+            "got: {message}"
+        );
+    }
 
     // Disarmed, the same configuration fits.
-    let model = FeatAug::new(cfg).fit(&task).unwrap();
+    let model = FeatAug::new(cfg.clone()).fit(&task).unwrap();
     assert!(model.templates().len() > 1 && !model.queries().is_empty());
+    let multi = fit_multi(&cfg, &sources).unwrap();
+    assert_eq!(multi.models().len(), 2);
+    assert!(multi.models().iter().all(|m| !m.queries().is_empty()));
 }
 
 /// A kernel panic under 8-thread batch evaluation fails exactly the hit
